@@ -27,6 +27,18 @@ TERNARY_CAP_DEFAULT = 14
 SUBSET_PAIR_CAP_DEFAULT = 26
 
 
+def resolve_mode(mode: str, size: int, cap: int) -> str:
+    """Validate a check mode and resolve it to "exhaustive" or "search".
+
+    "auto" enumerates exactly when the instance size is within the cap.
+    """
+    if mode not in ("auto", "exhaustive", "search"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode != "auto":
+        return mode
+    return "exhaustive" if size <= cap else "search"
+
+
 def ternary_assignment_sums(
     weights: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -64,6 +64,17 @@ def index_array(n: int, subset: Iterable[int], name: str = "subset") -> np.ndarr
     return arr
 
 
+def pair_sides(n: int, A: Iterable[int], B: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted index arrays of two nonempty, disjoint vertex sets."""
+    a = index_array(n, A, "A")
+    b = index_array(n, B, "B")
+    if not a.size or not b.size:
+        raise InputError("pair sides must be nonempty")
+    if np.intersect1d(a, b).size:
+        raise InputError("pair sides must be disjoint")
+    return a, b
+
+
 def _check_pair_matrix(n: int, values: np.ndarray, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (n, n):
@@ -323,16 +334,9 @@ def weighted_density(
     H: WeightedGraph | SubgraphPair, A: Iterable[int], B: Iterable[int]
 ) -> float:
     """rho(A, B) / (mu(A) mu(B)) for disjoint nonempty A, B."""
-    G, _ = _rho_matrix(H)
-    a = index_array(G.n, A, "A")
-    b = index_array(G.n, B, "B")
-    if not a.size or not b.size:
-        raise InputError("weighted_density: A and B must be nonempty")
-    if np.intersect1d(a, b).size:
-        raise InputError("weighted_density: A and B must be disjoint")
-    mass_a = float(G.mu[a].sum())
-    mass_b = float(G.mu[b].sum())
-    return rho_sum(H, a, b) / (mass_a * mass_b)
+    G, R = _rho_matrix(H)
+    a, b = pair_sides(G.n, A, B)
+    return float(R[np.ix_(a, b)].sum()) / (float(G.mu[a].sum()) * float(G.mu[b].sum()))
 
 
 def global_density(G: WeightedGraph) -> float:

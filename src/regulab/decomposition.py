@@ -32,6 +32,7 @@ import numpy as np
 from ._enumerate import (
     check_ternary_cap,
     decode_assignment,
+    resolve_mode,
     ternary_assignment_sums,
 )
 from .core import (
@@ -216,7 +217,8 @@ def _best_basic(
     restarts: int,
     cap: int,
 ) -> tuple[BasicFunction, float]:
-    if mode == "exhaustive" or (mode == "auto" and G.n <= cap):
+    # ``mode`` is already resolved to "exhaustive" or "search"
+    if mode == "exhaustive":
         return best_basic_exhaustive(G, r, cap=cap)
     return best_basic_search(G, r, seed=seed, restarts=restarts)
 
@@ -379,8 +381,7 @@ def strong_decompose(
     budget: consulted with the would-be extended basis, a True return
     stops the loop before the candidate is added.
     """
-    if mode not in ("auto", "exhaustive", "search"):
-        raise InputError(f"unknown mode {mode!r}")
+    resolved = resolve_mode(mode, G.n, cap)
     if (J is None) == (j_of_basis is None):
         raise InputError("exactly one of J and j_of_basis is required")
     if eps <= 0:
@@ -411,7 +412,7 @@ def strong_decompose(
             raise InputError("J must be nondecreasing in the term count")
         prev_threshold = threshold
         residual = EdgeFunction(f.values - projection.f_proj.values)
-        candidate, corr = _best_basic(G, residual, mode, seed + M, restarts, cap)
+        candidate, corr = _best_basic(G, residual, resolved, seed + M, restarts, cap)
         if abs(corr) < threshold:
             stop_reason = "pseudorandom"
             break
@@ -447,7 +448,7 @@ def strong_decompose(
         f_err = EdgeFunction(f.values - f_str.values)
 
     if np.any(f_psd.values != 0.0):
-        _, cert_corr = _best_basic(G, f_psd, mode, seed + M + 1, restarts, cap)
+        _, cert_corr = _best_basic(G, f_psd, resolved, seed + M + 1, restarts, cap)
         psd_certificate = abs(cert_corr)
     else:
         psd_certificate = 0.0

@@ -25,20 +25,14 @@ from typing import Iterable
 
 import numpy as np
 
-from ._enumerate import (
-    check_subset_pair_cap,
-    decode_subset,
-    scan_subset_pairs,
-)
-from ._search import pair_witness_search
 from .core import (
     HeavyVertexWarning,
     InputError,
     WeightedGraph,
-    index_array,
+    pair_sides,
     rho_sum,
 )
-from .regularity import SUBSET_PAIR_CAP_DEFAULT, PairRegularityVerdict
+from .regularity import SUBSET_PAIR_CAP_DEFAULT, PairRegularityVerdict, pair_verdict
 
 __all__ = [
     "ProbMatrixSpec",
@@ -309,6 +303,18 @@ def volume_weights(n: int, edges: Iterable[tuple[int, int]]) -> WeightedGraph:
     return WeightedGraph(n=n, mu=mu, rho=rho)
 
 
+def _volume_sides(
+    n: int, edges: Iterable[tuple[int, int]], A: Iterable[int], B: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency, degrees, and two disjoint sides that both carry volume."""
+    adj = _adjacency(n, edges)
+    a, b = pair_sides(n, A, B)
+    deg = adj.sum(axis=1)
+    if deg[a].sum() == 0.0 or deg[b].sum() == 0.0:
+        raise InputError("both sides must carry volume")
+    return adj, deg, a, b
+
+
 def volume_density(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -316,18 +322,9 @@ def volume_density(
     Y: Iterable[int],
 ) -> float:
     """e(X, Y) vol(V) / (vol(X) vol(Y)) for disjoint X, Y."""
-    adj = _adjacency(n, edges)
-    x = index_array(n, X, "X")
-    y = index_array(n, Y, "Y")
-    if np.intersect1d(x, y).size:
-        raise InputError("X and Y must be disjoint")
-    deg = adj.sum(axis=1)
-    vol_x = float(deg[x].sum())
-    vol_y = float(deg[y].sum())
-    if vol_x == 0.0 or vol_y == 0.0:
-        raise InputError("volume density needs both sides to carry volume")
+    adj, deg, x, y = _volume_sides(n, edges, X, Y)
     e_xy = float(adj[np.ix_(x, y)].sum())
-    return e_xy * float(deg.sum()) / (vol_x * vol_y)
+    return e_xy * float(deg.sum()) / (float(deg[x].sum()) * float(deg[y].sum()))
 
 
 def check_volume_pair(
@@ -358,77 +355,24 @@ def check_volume_pair(
     """
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
-    if mode not in ("auto", "exhaustive", "search"):
-        raise InputError(f"unknown mode {mode!r}")
-    adj = _adjacency(n, edges)
-    a = index_array(n, A, "A")
-    b = index_array(n, B, "B")
-    if a.size == 0 or b.size == 0:
-        raise InputError("both sides must be nonempty")
-    if np.intersect1d(a, b).size:
-        raise InputError("A and B must be disjoint")
-    deg = adj.sum(axis=1)
+    adj, deg, a, b = _volume_sides(n, edges, A, B)
     vol_v = float(deg.sum())
     wa = deg[a]
     wb = deg[b]
     vol_a = float(wa.sum())
     vol_b = float(wb.sum())
-    if vol_a == 0.0 or vol_b == 0.0:
-        raise InputError("volume regularity needs both sides to carry volume")
-    e_ab = float(adj[np.ix_(a, b)].sum())
-    base = e_ab * vol_v / (vol_a * vol_b)
-    threshold = eps * vol_a * vol_b / vol_v
-    share = e_ab / (vol_a * vol_b)
     cross = adj[np.ix_(a, b)]
+    e_ab = float(cross.sum())
+    share = e_ab / (vol_a * vol_b)
 
     def deviation(tables, wx, wy):
         return np.abs(tables[0] - share * (wx * wy))
 
-    exhaustive = mode == "exhaustive" or (mode == "auto" and a.size + b.size <= cap)
-    if exhaustive:
-        check_subset_pair_cap(a.size, b.size, cap)
-        scan = scan_subset_pairs(
-            [cross], wa, wb, eps * vol_a, eps * vol_b, deviation
-        )
-        if scan.vacuous:
-            return PairRegularityVerdict(
-                epsilon=eps, passed=True, mode="exhaustive", certified=True,
-                base_density=base, worst_deviation=None, worst_witness=None,
-                vacuous=True, n_qualifying=0, form="volume",
-                threshold=threshold,
-            )
-        wit_a = tuple(int(a[i]) for i in decode_subset(scan.best_a_index, a.size))
-        wit_b = tuple(int(b[i]) for i in decode_subset(scan.best_b_index, b.size))
-        worst = float(scan.best_value)
-        return PairRegularityVerdict(
-            epsilon=eps, passed=bool(worst < threshold), mode="exhaustive",
-            certified=True, base_density=base, worst_deviation=worst,
-            worst_witness=(wit_a, wit_b), vacuous=False,
-            n_qualifying=scan.n_qualifying, form="volume", threshold=threshold,
-        )
-    def objective(t, wx, wy):
-        return np.abs(t - share * (wx * wy))
-
-    best = pair_witness_search(
-        cross, wa, wb, eps * vol_a, eps * vol_b, objective,
-        seed=seed, restarts=restarts,
-    )
-    if best.x is None:
-        return PairRegularityVerdict(
-            epsilon=eps, passed=True, mode="search", certified=False,
-            base_density=base, worst_deviation=None, worst_witness=None,
-            vacuous=True, n_qualifying=None, form="volume", threshold=threshold,
-        )
-    worst = float(best.value)
-    passed = bool(worst < threshold)
-    return PairRegularityVerdict(
-        epsilon=eps, passed=passed, mode="search", certified=not passed,
-        base_density=base, worst_deviation=worst,
-        worst_witness=(
-            tuple(int(a[i]) for i in best.x),
-            tuple(int(b[i]) for i in best.y),
-        ),
-        vacuous=False, n_qualifying=None, form="volume", threshold=threshold,
+    return pair_verdict(
+        [cross], wa, wb, deviation,
+        eps=eps, base=e_ab * vol_v / (vol_a * vol_b), ids_a=a, ids_b=b,
+        threshold=eps * vol_a * vol_b / vol_v, form="volume",
+        mode=mode, seed=seed, restarts=restarts, cap=cap,
     )
 
 

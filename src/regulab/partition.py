@@ -20,22 +20,23 @@ loop additionally stops before the atom count would exceed
 
     max_atoms = floor(eps * mu(V) / max mu) - L,
 
-which keeps w* >= max mu so no single vertex outweighs a chunk.  Cluster
-pairs are classified twice: by the localized error energy
+which keeps w* >= max mu so no single vertex outweighs a chunk.  Every
+cluster pair gets a direct regularity verdict from the pair loop of
+``regularity.check_partition`` (the one pair-deviation engine), plus
+one extra column, the localized error energy
 
-    E_ij = sum over W_i x W_j of f_err^2 rho / rho(W_i, W_j) <= eta
+    E_ij = sum over W_i x W_j of f_err^2 rho / rho(W_i, W_j) <= eta.
 
-and by a direct regularity check of (W_i, W_j).
+The exceptional-mass, balance, and irregular-pair bullets are read off
+the same partition checker that ``verify`` runs.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import comb, floor
-from typing import Callable, Iterable, Sequence
+from math import floor
+from typing import Sequence
 
 import numpy as np
 
@@ -49,14 +50,13 @@ from .core import (
     is_normalized,
     mu_sum,
     normalize,
-    rho_sum,
 )
 from .decomposition import (
     BasicFunction,
     StructuredDecomposition,
     strong_decompose,
 )
-from .regularity import PairRegularityVerdict, check_pair
+from .regularity import cluster_pair_verdicts, partition_indices, partition_report
 
 PAIR_DETAIL_LIMIT = 2000
 
@@ -196,21 +196,6 @@ class PairClassification:
         }
 
 
-def _singleton_verdict(eps: float) -> PairRegularityVerdict:
-    # the only qualifying sub-pair of a 1 x 1 pair is the pair itself
-    return PairRegularityVerdict(
-        epsilon=eps,
-        passed=True,
-        mode="exhaustive",
-        certified=True,
-        base_density=np.nan,
-        worst_deviation=0.0,
-        worst_witness=None,
-        vacuous=False,
-        n_qualifying=1,
-    )
-
-
 def classify_pairs(
     P: SubgraphPair,
     f_err: EdgeFunction,
@@ -224,55 +209,39 @@ def classify_pairs(
 ) -> tuple[list[PairClassification], dict]:
     """Classify every cluster pair by error energy and by regularity.
 
-    Pairs with rho(W_i, W_j) = 0 have no energy reading and count as
-    irregular on the energy route.  The honored verdict for the
-    irregular-pair budget is the direct regularity check.  Set the
-    REGULAB_THREADS environment variable above 1 to check pairs
-    concurrently; ordering of the results is unaffected.
+    The regularity verdicts come from the partition checker's pair loop
+    (the k-th pair searched with seed + k).  All pair energies are read
+    at once off C (f_err^2 rho) C^T and C rho C^T, with C the
+    cluster-indicator matrix.  Pairs with rho(W_i, W_j) = 0 have no
+    energy reading and count as irregular on the energy route.  The
+    honored verdict for the irregular-pair budget is the direct
+    regularity check.
     """
     G = P.graph
-    err_sq = f_err.values * f_err.values * G.rho
-    ell = len(clusters)
-    pair_index: list[tuple[int, int]] = [
-        (i, j) for i in range(ell) for j in range(i + 1, ell)
-    ]
-
-    def classify_one(k: int) -> PairClassification:
-        i, j = pair_index[k]
-        wi, wj = clusters[i], clusters[j]
-        rho_ij = rho_sum(G, wi, wj)
-        if rho_ij > 0.0:
-            energy = float(err_sq[np.ix_(wi, wj)].sum()) / rho_ij
-        else:
-            energy = np.inf
-        if len(wi) == 1 and len(wj) == 1:
-            verdict = _singleton_verdict(eps)
-        else:
-            verdict = check_pair(
-                P, wi, wj, eps, mode=mode, seed=seed + k, restarts=restarts
-            )
-        return PairClassification(
-            i=i + 1,
-            j=j + 1,
-            regular=verdict.passed,
-            deviation=verdict.worst_deviation,
-            energy=energy,
-            energy_ok=bool(energy <= eta + FLOAT_TOL),
-            vacuous=verdict.vacuous,
-        )
-
-    n_threads = int(os.environ.get("REGULAB_THREADS", "1") or "1")
-    if n_threads > 1 and len(pair_index) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(classify_one, range(len(pair_index))))
-    else:
-        results = [classify_one(k) for k in range(len(pair_index))]
+    _, cluster_idx = partition_indices(G.n, None, clusters)
+    ell = len(cluster_idx)
+    C = np.zeros((ell, G.n))
+    for i, c in enumerate(cluster_idx):
+        C[i, c] = 1.0
+    err_mass = C @ (f_err.values * f_err.values * G.rho) @ C.T
+    rho_mass = C @ G.rho @ C.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        energy = np.where(rho_mass > 0.0, err_mass / rho_mass, np.inf)
+    results = []
+    for i, j, v in cluster_pair_verdicts(
+        P, cluster_idx, eps, mode=mode, seed=seed, restarts=restarts
+    ):
+        e = float(energy[i - 1, j - 1])
+        results.append(PairClassification(
+            i=i, j=j, regular=v.passed, deviation=v.worst_deviation,
+            energy=e, energy_ok=bool(e <= eta + FLOAT_TOL), vacuous=v.vacuous,
+        ))
 
     irregular = sum(1 for r in results if not r.regular)
     energy_flagged = sum(1 for r in results if not r.energy_ok)
     counts = {
         "n_clusters": ell,
-        "n_pairs": len(pair_index),
+        "n_pairs": len(results),
         "irregular": irregular,
         "energy_flagged": energy_flagged,
         "irregular_bound": eps * ell * ell,
@@ -445,7 +414,6 @@ def build_regular_partition(
         flags.append(
             f"{len(split.oversized)} oversized vertices in the exceptional cluster"
         )
-    w0_mass = mu_sum(G, split.w0) if split.w0 else 0.0
     cluster_masses = [mu_sum(G, c) for c in split.clusters]
 
     pairs, counts = classify_pairs(
@@ -458,27 +426,11 @@ def build_regular_partition(
         seed=seed,
         restarts=restarts,
     )
-
-    mass_gap = (max(cluster_masses) - min(cluster_masses)) if cluster_masses else 0.0
-    bullets = {
-        "exceptional_mass": {
-            "value": w0_mass,
-            "bound": eps * G.mu_total,
-            "ok": bool(w0_mass <= eps * G.mu_total + FLOAT_TOL * G.mu_total),
-        },
-        "balance": {
-            "value": mass_gap,
-            "bound": split.mu_max,
-            "ok": bool(mass_gap <= split.mu_max + FLOAT_TOL * max(split.mu_max, 1.0)),
-        },
-        "irregular_pairs": {
-            "value": counts["irregular"],
-            "bound": counts["irregular_bound"],
-            "ok": bool(counts["irregular"] <= counts["irregular_bound"] + FLOAT_TOL),
-        },
-    }
-    passed = all(section["ok"] for section in bullets.values())
-    if not bullets["irregular_pairs"]["ok"]:
+    w0_idx, cluster_idx = partition_indices(n, split.w0, split.clusters)
+    check = partition_report(
+        G, w0_idx, cluster_idx, eps, [(p.i, p.j) for p in pairs if not p.regular]
+    )
+    if not check.pairs_ok:
         flags.append("irregular pair budget exceeded")
     return BuildReport(
         eps=eps,
@@ -492,12 +444,12 @@ def build_regular_partition(
         decomposition=decomposition,
         atoms=atoms,
         split=split,
-        w0_mass=w0_mass,
+        w0_mass=check.w0_mass,
         mu_total=G.mu_total,
         cluster_masses=cluster_masses,
         pairs=pairs,
         pair_counts=counts,
-        bullets=bullets,
-        passed=passed,
+        bullets=check.bullets(),
+        passed=check.passed,
         flags=flags,
     )

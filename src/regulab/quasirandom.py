@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from ._enumerate import (
     TERNARY_CAP_DEFAULT,
     check_ternary_cap,
     decode_assignment,
+    resolve_mode,
     ternary_assignment_sums,
 )
 from ._search import disjoint_pair_search
@@ -102,30 +102,6 @@ def _validate(G: WeightedGraph, beta: float, D: float | None) -> float:
     return g
 
 
-def _beta_objective(g: float) -> Callable:
-    def objective(s_ab, mu_a, mu_b):
-        return np.abs(s_ab / (mu_a * mu_b) - g)
-
-    return objective
-
-
-def _ratio_objective(g: float) -> Callable:
-    def objective(s_ab, mu_a, mu_b):
-        d = s_ab / (mu_a * mu_b)
-        if g <= 0.0:
-            return np.where(d == 0.0, 1.0, np.inf)
-        with np.errstate(divide="ignore"):
-            return np.maximum(d / g, g / d)
-
-    return objective
-
-
-def _verdict_passed(kind: str, worst: float, beta: float, D: float | None) -> bool:
-    if kind == "beta":
-        return bool(worst < beta)
-    return bool(worst <= D)
-
-
 def check_quasirandom_exhaustive(
     G: WeightedGraph,
     beta: float,
@@ -134,32 +110,7 @@ def check_quasirandom_exhaustive(
     cap: int = TERNARY_CAP_DEFAULT,
 ) -> QuasirandomVerdict:
     """Certified verdict by enumeration of all 3^n assignments."""
-    g = _validate(G, beta, D)
-    check_ternary_cap(G.n, cap)
-    kind = "beta" if D is None else "ratio"
-    mu_a, mu_b, s_ab = ternary_assignment_sums(G.rho, G.mu)
-    floor = beta * G.mu_total
-    qualifying = (mu_a >= floor - FLOAT_TOL) & (mu_b >= floor - FLOAT_TOL)
-    n_qualifying = int(qualifying.sum())
-    if n_qualifying == 0:
-        return QuasirandomVerdict(
-            kind=kind, passed=True, mode="exhaustive", certified=True,
-            beta=beta, D=D, global_density=g, worst_deviation=None,
-            worst_pair=None, vacuous=True, n_qualifying=0,
-        )
-    objective = _beta_objective(g) if kind == "beta" else _ratio_objective(g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = objective(s_ab, mu_a, mu_b)
-    values = np.where(qualifying, values, -np.inf)
-    code = int(np.argmax(values))
-    worst = float(values[code])
-    A, B = decode_assignment(code, G.n)
-    return QuasirandomVerdict(
-        kind=kind, passed=_verdict_passed(kind, worst, beta, D),
-        mode="exhaustive", certified=True, beta=beta, D=D, global_density=g,
-        worst_deviation=worst, worst_pair=(A, B), vacuous=False,
-        n_qualifying=n_qualifying,
-    )
+    return check_quasirandom(G, beta, D, mode="exhaustive", cap=cap)
 
 
 def check_quasirandom_search(
@@ -172,30 +123,7 @@ def check_quasirandom_search(
 ) -> QuasirandomVerdict:
     """Hill-climbing witness search; a found violation is a certificate,
     a pass only means the budget found none."""
-    g = _validate(G, beta, D)
-    kind = "beta" if D is None else "ratio"
-    floor = beta * G.mu_total
-    objective = _beta_objective(g) if kind == "beta" else _ratio_objective(g)
-    best = disjoint_pair_search(
-        G.rho, G.mu, floor, objective, seed=seed, restarts=restarts
-    )
-    if best.x is None:
-        return QuasirandomVerdict(
-            kind=kind, passed=True, mode="search", certified=False,
-            beta=beta, D=D, global_density=g, worst_deviation=None,
-            worst_pair=None, vacuous=True, n_qualifying=None,
-        )
-    worst = float(best.value)
-    passed = _verdict_passed(kind, worst, beta, D)
-    pair = (
-        tuple(int(v) for v in best.x),
-        tuple(int(v) for v in best.y),
-    )
-    return QuasirandomVerdict(
-        kind=kind, passed=passed, mode="search", certified=not passed,
-        beta=beta, D=D, global_density=g, worst_deviation=worst,
-        worst_pair=pair, vacuous=False, n_qualifying=None,
-    )
+    return check_quasirandom(G, beta, D, mode="search", seed=seed, restarts=restarts)
 
 
 def check_quasirandom(
@@ -208,9 +136,52 @@ def check_quasirandom(
     restarts: int = 64,
     cap: int = TERNARY_CAP_DEFAULT,
 ) -> QuasirandomVerdict:
-    """Dispatch to exhaustive enumeration (n <= cap) or witness search."""
-    if mode not in ("auto", "exhaustive", "search"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" or (mode == "auto" and G.n <= cap):
-        return check_quasirandom_exhaustive(G, beta, D, cap=cap)
-    return check_quasirandom_search(G, beta, D, seed=seed, restarts=restarts)
+    """Exhaustive enumeration (n <= cap under auto) or witness search.
+
+    With no qualifying pair the verdict is a vacuous pass.
+    """
+    mode = resolve_mode(mode, G.n, cap)
+    g = _validate(G, beta, D)
+    kind = "beta" if D is None else "ratio"
+    floor = beta * G.mu_total
+
+    def objective(s_ab, mu_a, mu_b):
+        if kind == "beta":
+            # one expression, so numpy reuses its temporaries on 3^n arrays
+            return np.abs(s_ab / (mu_a * mu_b) - g)
+        d = s_ab / (mu_a * mu_b)
+        if g <= 0.0:
+            return np.where(d == 0.0, 1.0, np.inf)
+        with np.errstate(divide="ignore"):
+            return np.maximum(d / g, g / d)
+
+    n_qualifying = None
+    pair = None
+    if mode == "exhaustive":
+        check_ternary_cap(G.n, cap)
+        mu_a, mu_b, s_ab = ternary_assignment_sums(G.rho, G.mu)
+        qualifying = (mu_a >= floor - FLOAT_TOL) & (mu_b >= floor - FLOAT_TOL)
+        n_qualifying = int(qualifying.sum())
+        if n_qualifying:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = objective(s_ab, mu_a, mu_b)
+            values = np.where(qualifying, values, -np.inf)
+            code = int(np.argmax(values))
+            worst = float(values[code])
+            pair = decode_assignment(code, G.n)
+    else:
+        best = disjoint_pair_search(
+            G.rho, G.mu, floor, objective, seed=seed, restarts=restarts
+        )
+        if best.x is not None:
+            worst = float(best.value)
+            pair = (tuple(int(v) for v in best.x), tuple(int(v) for v in best.y))
+    vacuous = pair is None
+    passed = vacuous or bool(worst < beta if kind == "beta" else worst <= D)
+    return QuasirandomVerdict(
+        kind=kind, passed=passed, mode=mode,
+        certified=mode == "exhaustive" or not passed,
+        beta=beta, D=D, global_density=g,
+        worst_deviation=None if vacuous else worst, worst_pair=pair,
+        vacuous=vacuous, n_qualifying=n_qualifying,
+    )

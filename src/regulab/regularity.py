@@ -9,19 +9,21 @@ eps * mu(A) and mu(B') >= eps * mu(B) satisfies
 and a partition W0, W1, ..., Wl is weighted epsilon-regular when W0 is
 light (mu(W0) <= eps mu(V)), the other clusters are balanced up to one
 vertex mass, and all but at most eps * l^2 of the unordered cluster
-pairs are regular.  With unit weights on a complete bipartite host the
-pair condition collapses to the classical edge-density one, which is how
-``classical_epsilon_regular`` is implemented; mass floors are inclusive
-(>=) throughout, which only differs from a strict reading at exact
-threshold ties.  Exhaustive mode certifies verdicts below a size cap;
-search mode hill-climbs for violating witnesses.
+pairs are regular.  Mass floors are inclusive (>=) throughout, which
+only differs from a strict reading at exact threshold ties.
+
+One engine, ``pair_verdict``, checks every form of the pair condition:
+exhaustive mode certifies verdicts below a size cap, search mode
+hill-climbs for violating witnesses.  The weighted, classical (unit
+weights), relative and volume forms are front ends to it, and
+``check_partition`` runs every cluster pair through it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,19 +31,17 @@ from ._enumerate import (
     SUBSET_PAIR_CAP_DEFAULT,
     check_subset_pair_cap,
     decode_subset,
+    resolve_mode,
     scan_subset_pairs,
 )
 from ._search import pair_witness_search
 from .core import (
     FLOAT_TOL,
-    HeavyVertexWarning,
     InputError,
     SubgraphPair,
     WeightedGraph,
     index_array,
-    mu_sum,
-    rho_sum,
-    weighted_density,
+    pair_sides,
 )
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "relative_regularity",
 ]
 
-
 @dataclass(frozen=True)
 class PairRegularityVerdict:
     """Outcome of a pair regularity check.
@@ -64,7 +63,7 @@ class PairRegularityVerdict:
     ``worst_deviation``.  ``certified`` follows the usual rule:
     exhaustive verdicts always, search verdicts only when a violation
     was found.  ``form`` records which density notion was checked
-    (weighted, classical, or relative edge-ratio).
+    (weighted, classical, relative edge-ratio, or volume).
     """
 
     epsilon: float
@@ -101,105 +100,94 @@ class PairRegularityVerdict:
         }
 
 
-def _pair_sides(
-    P: SubgraphPair, A: Iterable[int], B: Iterable[int], eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    if not (0.0 < eps < 1.0):
-        raise InputError(f"epsilon must lie in (0, 1), got {eps}")
-    n = P.graph.n
-    a = index_array(n, A, "A")
-    b = index_array(n, B, "B")
-    if not a.size or not b.size:
-        raise InputError("pair sides must be nonempty")
-    if np.intersect1d(a, b).size:
-        raise InputError("pair sides must be disjoint")
-    return a, b
-
-
-def check_pair_exhaustive(
-    P: SubgraphPair,
-    A: Iterable[int],
-    B: Iterable[int],
-    eps: float,
+def pair_verdict(
+    crosses: Sequence[np.ndarray],
+    wa: np.ndarray,
+    wb: np.ndarray,
+    deviation: Callable[[list[np.ndarray], np.ndarray, np.ndarray], np.ndarray],
     *,
+    eps: float,
+    base: float,
+    ids_a: Sequence[int],
+    ids_b: Sequence[int],
+    threshold: float | None = None,
+    form: str = "weighted",
+    mode: str = "auto",
+    seed: int = 0,
+    restarts: int = 64,
     cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
-    """Certified verdict by enumerating all qualifying sub-pairs."""
-    a, b = _pair_sides(P, A, B, eps)
-    check_subset_pair_cap(a.size, b.size, cap)
-    base = weighted_density(P, a, b)
-    wa = P.graph.mu[a]
-    wb = P.graph.mu[b]
-    cross = P.rho_f[np.ix_(a, b)]
+    """Maximize deviation(tables, wX, wY) over sub-pairs X x Y with
+    wX >= eps wa.sum() and wY >= eps wb.sum(), ``tables`` holding each
+    cross table summed over X x Y, and pass below ``threshold`` (eps
+    when None).  A 1 x 1 pair is its own only qualifying sub-pair.  No
+    qualifying sub-pair of finite deviation makes a vacuous pass.
+    Witness positions are reported through ``ids_a`` and ``ids_b``.
+    """
+    ka, kb = crosses[0].shape
+    mode = resolve_mode(mode, ka + kb, cap)
+    if mode == "exhaustive":
+        check_subset_pair_cap(ka, kb, cap)
+    n_qualifying = None
+    if ka == 1 and kb == 1:
+        mode, worst, witness, n_qualifying = "exhaustive", 0.0, ((0,), (0,)), 1
+    elif mode == "exhaustive":
+        scan = scan_subset_pairs(
+            crosses, wa, wb, eps * wa.sum(), eps * wb.sum(), deviation
+        )
+        n_qualifying = scan.n_qualifying
+        worst = scan.best_value
+        witness = None if scan.vacuous else (
+            decode_subset(scan.best_a_index, ka), decode_subset(scan.best_b_index, kb)
+        )
+    else:
+        (cross,) = crosses
+        best = pair_witness_search(
+            cross, wa, wb, eps * wa.sum(), eps * wb.sum(),
+            lambda t, wx, wy: deviation([t], wx, wy),
+            seed=seed, restarts=restarts,
+        )
+        worst = best.value
+        witness = None if best.x is None else (best.x, best.y)
+    vacuous = witness is None or not np.isfinite(worst)
+    passed = vacuous or bool(worst < (eps if threshold is None else threshold))
+    return PairRegularityVerdict(
+        epsilon=eps, passed=passed, mode=mode,
+        certified=mode == "exhaustive" or not passed,
+        base_density=base,
+        worst_deviation=None if vacuous else float(worst),
+        worst_witness=None if vacuous else (
+            tuple(int(ids_a[i]) for i in witness[0]),
+            tuple(int(ids_b[i]) for i in witness[1]),
+        ),
+        vacuous=vacuous, n_qualifying=n_qualifying, form=form, threshold=threshold,
+    )
+
+
+def _density_verdict(
+    cross: np.ndarray, wa: np.ndarray, wb: np.ndarray, eps: float, **options
+) -> PairRegularityVerdict:
+    """The condition |d(X, Y) - d(A, B)| < eps on one cross table."""
+    base = float(cross.sum()) / (float(wa.sum()) * float(wb.sum()))
 
     def deviation(tables, wx, wy):
         return np.abs(tables[0] / (wx * wy) - base)
 
-    scan = scan_subset_pairs(
-        [cross], wa, wb, eps * wa.sum(), eps * wb.sum(), deviation
-    )
-    if scan.vacuous:
-        return PairRegularityVerdict(
-            epsilon=eps, passed=True, mode="exhaustive", certified=True,
-            base_density=base, worst_deviation=None, worst_witness=None,
-            vacuous=True, n_qualifying=0,
-        )
-    wit_a = tuple(int(a[i]) for i in decode_subset(scan.best_a_index, a.size))
-    wit_b = tuple(int(b[i]) for i in decode_subset(scan.best_b_index, b.size))
-    worst = float(scan.best_value)
-    return PairRegularityVerdict(
-        epsilon=eps, passed=bool(worst < eps), mode="exhaustive", certified=True,
-        base_density=base, worst_deviation=worst, worst_witness=(wit_a, wit_b),
-        vacuous=False, n_qualifying=scan.n_qualifying,
-    )
+    return pair_verdict([cross], wa, wb, deviation, eps=eps, base=base, **options)
 
 
-def check_pair_search(
-    P: SubgraphPair,
-    A: Iterable[int],
-    B: Iterable[int],
-    eps: float,
-    *,
-    seed: int,
-    restarts: int = 64,
+def _weighted_pair(
+    P: SubgraphPair, a: np.ndarray, b: np.ndarray, eps: float, **options
 ) -> PairRegularityVerdict:
-    """Witness search for a violating sub-pair (non-certificate on pass)."""
-    a, b = _pair_sides(P, A, B, eps)
-    base = weighted_density(P, a, b)
-    wa = P.graph.mu[a]
-    wb = P.graph.mu[b]
-    if a.size == 1 and b.size == 1:
-        # the only qualifying sub-pair is the pair itself
-        return PairRegularityVerdict(
-            epsilon=eps, passed=True, mode="search", certified=True,
-            base_density=base, worst_deviation=0.0,
-            worst_witness=(tuple(int(v) for v in a), tuple(int(v) for v in b)),
-            vacuous=False, n_qualifying=1,
-        )
-    cross = P.rho_f[np.ix_(a, b)]
-
-    def objective(t, wx, wy):
-        return np.abs(t / (wx * wy) - base)
-
-    best = pair_witness_search(
-        cross, wa, wb, eps * wa.sum(), eps * wb.sum(), objective,
-        seed=seed, restarts=restarts,
+    mu = P.graph.mu
+    return _density_verdict(
+        P.rho_f[np.ix_(a, b)], mu[a], mu[b], eps, ids_a=a, ids_b=b, **options
     )
-    if best.x is None:
-        return PairRegularityVerdict(
-            epsilon=eps, passed=True, mode="search", certified=False,
-            base_density=base, worst_deviation=None, worst_witness=None,
-            vacuous=True, n_qualifying=None,
-        )
-    worst = float(best.value)
-    passed = bool(worst < eps)
-    wit_a = tuple(int(a[i]) for i in best.x)
-    wit_b = tuple(int(b[i]) for i in best.y)
-    return PairRegularityVerdict(
-        epsilon=eps, passed=passed, mode="search", certified=not passed,
-        base_density=base, worst_deviation=worst, worst_witness=(wit_a, wit_b),
-        vacuous=False, n_qualifying=None,
-    )
+
+
+def _check_epsilon(eps: float) -> None:
+    if not (0.0 < eps < 1.0):
+        raise InputError(f"epsilon must lie in (0, 1), got {eps}")
 
 
 def check_pair(
@@ -213,16 +201,38 @@ def check_pair(
     restarts: int = 64,
     cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
-    if mode not in ("auto", "exhaustive", "search"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "exhaustive":
-        return check_pair_exhaustive(P, A, B, eps, cap=cap)
-    if mode == "auto":
-        a = index_array(P.graph.n, A, "A")
-        b = index_array(P.graph.n, B, "B")
-        if a.size + b.size <= cap:
-            return check_pair_exhaustive(P, A, B, eps, cap=cap)
-    return check_pair_search(P, A, B, eps, seed=seed, restarts=restarts)
+    """Weighted epsilon-regularity of (A, B) with respect to F.
+
+    ``auto`` enumerates when |A| + |B| <= cap and searches above it.
+    """
+    _check_epsilon(eps)
+    a, b = pair_sides(P.graph.n, A, B)
+    return _weighted_pair(P, a, b, eps, mode=mode, seed=seed, restarts=restarts, cap=cap)
+
+
+def check_pair_exhaustive(
+    P: SubgraphPair,
+    A: Iterable[int],
+    B: Iterable[int],
+    eps: float,
+    *,
+    cap: int = SUBSET_PAIR_CAP_DEFAULT,
+) -> PairRegularityVerdict:
+    """Certified verdict by enumerating all qualifying sub-pairs."""
+    return check_pair(P, A, B, eps, mode="exhaustive", cap=cap)
+
+
+def check_pair_search(
+    P: SubgraphPair,
+    A: Iterable[int],
+    B: Iterable[int],
+    eps: float,
+    *,
+    seed: int,
+    restarts: int = 64,
+) -> PairRegularityVerdict:
+    """Witness search for a violating sub-pair (non-certificate on pass)."""
+    return check_pair(P, A, B, eps, mode="search", seed=seed, restarts=restarts)
 
 
 # -- partitions ----------------------------------------------------------
@@ -262,26 +272,100 @@ class PartitionCheckReport:
             "pair_verdicts": self.pair_verdicts,
         }
 
+    def bullets(self) -> dict:
+        """The same three verdicts in the partition builder's layout."""
+        return {
+            "exceptional_mass": {"value": self.w0_mass, "bound": self.w0_bound,
+                                 "ok": self.w0_ok},
+            "balance": {"value": self.balance_gap, "bound": self.balance_bound,
+                        "ok": self.balance_ok},
+            "irregular_pairs": {"value": self.n_irregular,
+                                "bound": self.irregular_bound, "ok": self.pairs_ok},
+        }
 
-def _validate_partition(
-    G: WeightedGraph, w0: Iterable[int], clusters: list
+
+def partition_indices(
+    n: int, w0: Iterable[int] | None, clusters: Sequence[Iterable[int]]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    w0_idx = index_array(G.n, w0, "W0")
-    cluster_idx = [index_array(G.n, c, f"W{i + 1}") for i, c in enumerate(clusters)]
-    counts = np.zeros(G.n, dtype=np.int64)
-    counts[w0_idx] += 1
-    for c in cluster_idx:
-        if c.size == 0:
-            raise InputError("clusters other than W0 must be nonempty")
-        counts[c] += 1
-    if np.any(counts != 1):
+    """Sorted index arrays of W0 and the clusters, validated once.
+
+    Clusters must be nonempty and no vertex may appear twice; with
+    ``w0`` given (not None) every vertex must also be covered.
+    """
+    w0_idx = index_array(n, () if w0 is None else w0, "W0")
+    cluster_idx = [index_array(n, c, f"W{i + 1}") for i, c in enumerate(clusters)]
+    if any(c.size == 0 for c in cluster_idx):
+        raise InputError("clusters other than W0 must be nonempty")
+    counts = np.bincount(np.concatenate([w0_idx, *cluster_idx]), minlength=n)
+    doubled = int(np.count_nonzero(counts > 1))
+    if w0 is None:
+        if doubled:
+            raise InputError(f"clusters must be disjoint ({doubled} repeated)")
+    elif doubled or not counts.all():
         missing = int(np.count_nonzero(counts == 0))
-        doubled = int(np.count_nonzero(counts > 1))
         raise InputError(
             f"partition must cover every vertex exactly once "
             f"({missing} missing, {doubled} repeated)"
         )
     return w0_idx, cluster_idx
+
+
+def cluster_pair_verdicts(
+    P: SubgraphPair,
+    cluster_idx: Sequence[np.ndarray],
+    eps: float,
+    *,
+    mode: str,
+    seed: int,
+    restarts: int,
+    cap: int = SUBSET_PAIR_CAP_DEFAULT,
+) -> list[tuple[int, int, PairRegularityVerdict]]:
+    """Weighted verdicts (i, j, verdict) for every cluster pair i < j,
+    1-based in row order; the k-th pair is searched with seed + k."""
+    return [
+        (i + 1, j + 1, _weighted_pair(
+            P, cluster_idx[i], cluster_idx[j], eps,
+            mode=mode, seed=seed + k, restarts=restarts, cap=cap,
+        ))
+        for k, (i, j) in enumerate(combinations(range(len(cluster_idx)), 2))
+    ]
+
+
+def partition_report(
+    G: WeightedGraph,
+    w0_idx: np.ndarray,
+    cluster_idx: Sequence[np.ndarray],
+    eps: float,
+    irregular: list[tuple[int, int]],
+    pair_verdicts: list[dict] | None = None,
+) -> PartitionCheckReport:
+    """Judge the light-W0, balance and irregular-pair requirements.
+
+    Mass comparisons allow FLOAT_TOL * mu(V) of rounding slack, so the
+    verdict does not change when ``normalize`` rescales mu; the pair
+    count is compared with FLOAT_TOL slack.  ``irregular`` lists the
+    1-based irregular cluster pairs.
+    """
+    ell = len(cluster_idx)
+    tol = FLOAT_TOL * G.mu_total
+    w0_mass = float(G.mu[w0_idx].sum()) if w0_idx.size else 0.0
+    w0_bound = eps * G.mu_total
+    masses = np.array([G.mu[c].sum() for c in cluster_idx])
+    balance_gap = float(masses.max() - masses.min()) if ell else 0.0
+    balance_bound = float(G.mu.max())
+    irregular_bound = eps * ell * ell
+    w0_ok = bool(w0_mass <= w0_bound + tol)
+    balance_ok = bool(balance_gap <= balance_bound + tol)
+    pairs_ok = bool(len(irregular) <= irregular_bound + FLOAT_TOL)
+    return PartitionCheckReport(
+        passed=w0_ok and balance_ok and pairs_ok,
+        epsilon=eps, n_clusters=ell,
+        w0_mass=w0_mass, w0_bound=w0_bound, w0_ok=w0_ok,
+        balance_gap=balance_gap, balance_bound=balance_bound, balance_ok=balance_ok,
+        n_pairs=ell * (ell - 1) // 2, n_irregular=len(irregular),
+        irregular_bound=irregular_bound, pairs_ok=pairs_ok,
+        irregular_pairs=irregular, pair_verdicts=pair_verdicts or [],
+    )
 
 
 def check_partition(
@@ -302,65 +386,25 @@ def check_partition(
     requested mode, so with search mode the irregular count is a lower
     bound (only found violations count as irregular).
     """
-    if not (0.0 < eps < 1.0):
-        raise InputError(f"epsilon must lie in (0, 1), got {eps}")
-    G = P.graph
-    w0_idx, cluster_idx = _validate_partition(G, w0, clusters)
-    ell = len(cluster_idx)
-    if ell < 1:
+    _check_epsilon(eps)
+    w0_idx, cluster_idx = partition_indices(P.graph.n, w0, clusters)
+    if not cluster_idx:
         raise InputError("need at least one cluster besides W0")
-    w0_mass = float(G.mu[w0_idx].sum()) if w0_idx.size else 0.0
-    w0_bound = eps * G.mu_total
-    w0_ok = w0_mass <= w0_bound + FLOAT_TOL
-    masses = np.array([G.mu[c].sum() for c in cluster_idx])
-    balance_gap = float(masses.max() - masses.min())
-    balance_bound = float(G.mu.max())
-    balance_ok = balance_gap <= balance_bound + FLOAT_TOL
-
-    irregular: list[tuple[int, int]] = []
-    verdicts: list[dict] = []
-    k = 0
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            v = check_pair(
-                P, cluster_idx[i], cluster_idx[j], eps,
-                mode=mode, seed=seed + k, restarts=restarts, cap=cap,
-            )
-            k += 1
-            verdicts.append({
-                "i": i + 1, "j": j + 1, "passed": v.passed,
-                "worst_deviation": v.worst_deviation, "certified": v.certified,
-            })
-            if not v.passed:
-                irregular.append((i + 1, j + 1))
-    n_pairs = ell * (ell - 1) // 2
-    irregular_bound = eps * ell * ell
-    pairs_ok = len(irregular) <= irregular_bound + FLOAT_TOL
-    return PartitionCheckReport(
-        passed=bool(w0_ok and balance_ok and pairs_ok),
-        epsilon=eps, n_clusters=ell,
-        w0_mass=w0_mass, w0_bound=w0_bound, w0_ok=bool(w0_ok),
-        balance_gap=balance_gap, balance_bound=balance_bound,
-        balance_ok=bool(balance_ok),
-        n_pairs=n_pairs, n_irregular=len(irregular),
-        irregular_bound=irregular_bound, pairs_ok=bool(pairs_ok),
-        irregular_pairs=irregular, pair_verdicts=verdicts,
+    verdicts = cluster_pair_verdicts(
+        P, cluster_idx, eps, mode=mode, seed=seed, restarts=restarts, cap=cap
+    )
+    return partition_report(
+        P.graph, w0_idx, cluster_idx, eps,
+        [(i, j) for i, j, v in verdicts if not v.passed],
+        [
+            {"i": i, "j": j, "passed": v.passed,
+             "worst_deviation": v.worst_deviation, "certified": v.certified}
+            for i, j, v in verdicts
+        ],
     )
 
 
 # -- classical and relative forms -----------------------------------------
-
-
-def _bipartite_host(a_size: int, b_size: int) -> WeightedGraph:
-    if a_size < 1 or b_size < 1:
-        raise InputError("both sides need at least one vertex")
-    n = a_size + b_size
-    rho = np.zeros((n, n))
-    rho[:a_size, a_size:] = 1.0
-    rho[a_size:, :a_size] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeavyVertexWarning)
-        return WeightedGraph(n=n, mu=np.ones(n), rho=rho)
 
 
 def classical_epsilon_regular(
@@ -374,36 +418,28 @@ def classical_epsilon_regular(
     restarts: int = 64,
     cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
-    """Classical bipartite epsilon-regularity via the weighted checker.
+    """Classical bipartite epsilon-regularity.
 
     ``f_edges`` are (i, j) with i indexing side A and j side B, both
-    0-based locally.  Unit weights on the complete bipartite host make
-    the weighted density equal e(A', B') / (|A'| |B'|), so the weighted
-    verdict is the classical one.  Witnesses come back in local
-    (A-side, B-side) indices.
+    0-based locally.  With unit weights the weighted density of the 0/1
+    cross matrix is e(A', B') / (|A'| |B'|), so the weighted condition
+    on it is the classical one.  Witnesses come back in local (A-side,
+    B-side) indices.
     """
-    host = _bipartite_host(a_size, b_size)
-    edges = []
+    if a_size < 1 or b_size < 1:
+        raise InputError("both sides need at least one vertex")
+    f_mat = np.zeros((a_size, b_size))
     for k, (i, j) in enumerate(f_edges):
         if not (0 <= i < a_size and 0 <= j < b_size):
             raise InputError(f"f_edges[{k}]: ({i}, {j}) outside sides {a_size}x{b_size}")
-        edges.append((i, a_size + j))
-    pair = SubgraphPair.from_edges(host, edges)
-    v = check_pair(
-        pair, range(a_size), range(a_size, a_size + b_size), eps,
+        if f_mat[i, j]:
+            raise InputError(f"f_edges[{k}]: duplicate edge ({i}, {j})")
+        f_mat[i, j] = 1.0
+    _check_epsilon(eps)
+    return _density_verdict(
+        f_mat, np.ones(a_size), np.ones(b_size), eps,
+        ids_a=range(a_size), ids_b=range(b_size), form="classical",
         mode=mode, seed=seed, restarts=restarts, cap=cap,
-    )
-    witness = None
-    if v.worst_witness is not None:
-        witness = (
-            v.worst_witness[0],
-            tuple(x - a_size for x in v.worst_witness[1]),
-        )
-    return PairRegularityVerdict(
-        epsilon=v.epsilon, passed=v.passed, mode=v.mode, certified=v.certified,
-        base_density=v.base_density, worst_deviation=v.worst_deviation,
-        worst_witness=witness, vacuous=v.vacuous, n_qualifying=v.n_qualifying,
-        form="classical",
     )
 
 
@@ -422,19 +458,15 @@ def relative_regularity(
     density and are skipped.  Size floors are |A'| >= eps |A| and
     |B'| >= eps |B|.
     """
-    if not (0.0 < eps < 1.0):
-        raise InputError(f"epsilon must lie in (0, 1), got {eps}")
-    check_subset_pair_cap(a_size, b_size, cap)
+    _check_epsilon(eps)
     f_mat = np.zeros((a_size, b_size))
     g_mat = np.zeros((a_size, b_size))
-    g_set = set()
     for k, (i, j) in enumerate(g_edges):
         if not (0 <= i < a_size and 0 <= j < b_size):
             raise InputError(f"g_edges[{k}]: ({i}, {j}) outside sides {a_size}x{b_size}")
         g_mat[i, j] = 1.0
-        g_set.add((i, j))
     for k, (i, j) in enumerate(f_edges):
-        if (i, j) not in g_set:
+        if not (0 <= i < a_size and 0 <= j < b_size and g_mat[i, j]):
             raise InputError(f"f_edges[{k}]: ({i}, {j}) is not an edge of G")
         f_mat[i, j] = 1.0
     total_g = g_mat.sum()
@@ -448,24 +480,8 @@ def relative_regularity(
             ratio = tf / tg
         return np.where(tg > 0, np.abs(ratio - base), -np.inf)
 
-    ones_a = np.ones(a_size)
-    ones_b = np.ones(b_size)
-    scan = scan_subset_pairs(
-        [f_mat, g_mat], ones_a, ones_b, eps * a_size, eps * b_size, deviation
-    )
-    if scan.vacuous or not np.isfinite(scan.best_value):
-        return PairRegularityVerdict(
-            epsilon=eps, passed=True, mode="exhaustive", certified=True,
-            base_density=base, worst_deviation=None, worst_witness=None,
-            vacuous=True, n_qualifying=scan.n_qualifying, form="relative",
-        )
-    worst = float(scan.best_value)
-    witness = (
-        decode_subset(scan.best_a_index, a_size),
-        decode_subset(scan.best_b_index, b_size),
-    )
-    return PairRegularityVerdict(
-        epsilon=eps, passed=bool(worst < eps), mode="exhaustive", certified=True,
-        base_density=base, worst_deviation=worst, worst_witness=witness,
-        vacuous=False, n_qualifying=scan.n_qualifying, form="relative",
+    return pair_verdict(
+        [f_mat, g_mat], np.ones(a_size), np.ones(b_size), deviation,
+        eps=eps, base=base, ids_a=range(a_size), ids_b=range(b_size),
+        form="relative", mode="exhaustive", cap=cap,
     )

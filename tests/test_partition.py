@@ -13,10 +13,12 @@ from regulab import (
     EdgeFunction,
     InputError,
     ProbMatrixSpec,
+    SplitResult,
     SubgraphPair,
     WeightedGraph,
     atoms_from_structure,
     build_regular_partition,
+    check_partition,
     classify_pairs,
     default_max_atoms,
     gen_gnpij,
@@ -132,6 +134,8 @@ def test_classified_energies_sum_back_to_the_cross_error_mass():
         total += cross
         if np.isfinite(p.energy):
             recovered += p.energy * rho_sum(G, wi, wj)
+            # the per-pair loop is the reference for the matrix-product column
+            assert p.energy == pytest.approx(cross / rho_sum(G, wi, wj), rel=1e-12)
     assert recovered == pytest.approx(total, rel=1e-12)
 
 
@@ -160,17 +164,6 @@ def test_disconnected_pair_has_infinite_energy():
     assert p.energy == np.inf and not p.energy_ok
     assert p.regular  # densities are identically zero across the pair
     assert counts["energy_flagged"] == 1 and counts["irregular"] == 0
-
-
-def test_thread_pool_gives_identical_results(monkeypatch):
-    P = random_subpair(602, 0, 12, p_host=0.6, p_keep=0.6)
-    clusters = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
-    f_err = EdgeFunction.zeros(12)
-    serial, counts_1 = classify_pairs(P, f_err, clusters, 0.3, 1e-3, seed=5)
-    monkeypatch.setenv("REGULAB_THREADS", "2")
-    threaded, counts_2 = classify_pairs(P, f_err, clusters, 0.3, 1e-3, seed=5)
-    assert [p.to_dict() for p in serial] == [p.to_dict() for p in threaded]
-    assert counts_1 == counts_2
 
 
 # -- the builder ----------------------------------------------------------------------
@@ -236,6 +229,40 @@ def test_build_keeps_normalized_hosts_unscaled():
     # exact cover of the vertex set
     members = sorted(v for c in rep.clusters for v in c) + sorted(rep.w0)
     assert sorted(members) == list(range(10))
+
+
+def _boundary_host(excess, scale=1.0):
+    """K_7 with mu(V) = 1e3 * scale, W0 = {0, 1}, clusters {2, 3, 4} and
+    {5, 6}; mu(W0) lies excess * mu(V) above eps * mu(V) for eps = 0.3,
+    and the cluster-mass gap lies as far above the largest vertex mass."""
+    x = excess * 1e3
+    heaviest = (300.0 + x) / 2.0
+    light = (700.0 - heaviest - 2.0 * x) / 2.0  # the two-vertex cluster
+    heavy = (700.0 + heaviest) / 2.0  # the three-vertex cluster
+    mu = np.array([heaviest, heaviest] + [heavy / 3.0] * 3 + [light / 2.0] * 2)
+    return SubgraphPair.full(complete_graph(7, mu=mu * scale))
+
+
+@pytest.mark.parametrize("excess, ok", [(5e-10, True), (5e-9, False)])
+def test_partition_verdict_is_scale_invariant(monkeypatch, excess, ok):
+    w0, clusters = (0, 1), ((2, 3, 4), (5, 6))
+    verdicts = []
+    for scale in (1.0, 1e-3):
+        P = _boundary_host(excess, scale)
+        assert P.graph.mu_total == pytest.approx(1e3 * scale, rel=1e-12)
+        report = check_partition(P, w0, clusters, 0.3)
+        verdicts.append((report.w0_ok, report.balance_ok))
+
+    # the builder renormalizes to mu(V) = 7 and judges the same split
+    def fixed_split(G, atoms, eps, L):
+        return SplitResult(w0=w0, clusters=clusters, w_star=1.0,
+                           mu_max=float(G.mu.max()), n_atoms=len(atoms), oversized=())
+
+    monkeypatch.setattr("regulab.partition.split_atoms", fixed_split)
+    rep = build_regular_partition(_boundary_host(excess), 0.3, 1, seed=0)
+    assert rep.scales is not None and rep.mu_total == pytest.approx(7.0)
+    verdicts.append((rep.bullets["exceptional_mass"]["ok"], rep.bullets["balance"]["ok"]))
+    assert verdicts == [(ok, ok)] * 3
 
 
 def test_build_validation():

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from regulab import (
+    EdgeFunction,
     InputError,
     SubgraphPair,
     check_pair,
     check_pair_exhaustive,
     check_pair_search,
     check_partition,
+    check_volume_pair,
     classical_epsilon_regular,
+    classify_pairs,
     relative_regularity,
+    volume_weights,
     weighted_density,
     WeightedGraph,
 )
@@ -80,6 +84,48 @@ def test_singleton_pair_fast_path():
     assert v.worst_deviation == 0.0
     assert v.n_qualifying == 1
     assert v.worst_witness == ((0,), (3,))
+
+
+PATH_EDGES = [(0, 1), (1, 2), (2, 3)]
+
+
+def _verdict_fields(v):
+    return {"passed": v.passed, "certified": v.certified, "deviation": v.worst_deviation,
+            "witness": v.worst_witness, "mode": v.mode, "vacuous": v.vacuous,
+            "n_qualifying": v.n_qualifying}
+
+
+def _classified_fields(P):
+    (p,), _ = classify_pairs(P, EdgeFunction.zeros(4), [(2,), (1,)], 0.3, 1e-3, seed=0)
+    return {"passed": p.regular, "deviation": p.deviation, "vacuous": p.vacuous}
+
+
+def _verified_fields(P):
+    (v,) = check_partition(P, [0, 3], [[2], [1]], 0.3).pair_verdicts
+    return {"passed": v["passed"], "certified": v["certified"], "deviation": v["worst_deviation"]}
+
+
+ONE_BY_ONE_ROUTES = {
+    "auto": lambda P: _verdict_fields(check_pair(P, [2], [1], 0.3)),
+    "exhaustive": lambda P: _verdict_fields(check_pair(P, [2], [1], 0.3, mode="exhaustive")),
+    "search": lambda P: _verdict_fields(check_pair(P, [2], [1], 0.3, mode="search", seed=0)),
+    "volume-search": lambda P: _verdict_fields(
+        check_volume_pair(4, PATH_EDGES, [2], [1], 0.3, mode="search", seed=0)),
+    "classical": lambda P: {**_verdict_fields(classical_epsilon_regular(1, 1, [(0, 0)], 0.3)),
+                            "witness": ((2,), (1,))},  # local (0, 0) is this pair
+    "classify_pairs": _classified_fields,
+    "check_partition": _verified_fields,
+}
+
+
+@pytest.mark.parametrize("route", ONE_BY_ONE_ROUTES)
+def test_one_by_one_pair_has_one_verdict_everywhere(route):
+    # the pair ({2}, {1}) on a path with degree-proportional weights
+    P = SubgraphPair.full(volume_weights(4, PATH_EDGES))
+    want = {"passed": True, "certified": True, "deviation": 0.0, "witness": ((2,), (1,)),
+            "mode": "exhaustive", "vacuous": False, "n_qualifying": 1}
+    got = ONE_BY_ONE_ROUTES[route](P)
+    assert got == {key: want[key] for key in got}
 
 
 @pytest.mark.parametrize("k", range(5))
