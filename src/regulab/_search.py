@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import InputError
+
 IMPROVE_TOL = 1e-15
 FLOOR_TOL = 1e-9
 
@@ -39,6 +41,13 @@ class SearchBest:
     y: tuple[int, ...] | None
     restarts: int
     moves: int
+
+
+def check_restarts(restarts: int) -> None:
+    """A search needs at least one restart: with none, nothing is
+    searched, and an empty result would read as a vacuous pass."""
+    if restarts < 1:
+        raise InputError(f"search needs at least one restart, got restarts={restarts}")
 
 
 def _witness_key(x: tuple[int, ...], y: tuple[int, ...]) -> tuple:
@@ -65,6 +74,7 @@ def pair_witness_search(
     ``cross[u, v]`` is the pair weight between the u-th vertex of side A
     and the v-th vertex of side B; T is its sum over X x Y.
     """
+    check_restarts(restarts)
     ka, kb = cross.shape
     if max_moves is None:
         max_moves = 12 * (ka + kb) + 24
@@ -182,6 +192,7 @@ def disjoint_pair_search(
     """Maximize objective(s_ab, mu_a, mu_b) over disjoint A, B with
     mu(A), mu(B) >= floor.  ``weights`` must be symmetric with zero
     diagonal; s_ab sums weights over cross pairs (each one once)."""
+    check_restarts(restarts)
     n = mu.shape[0]
     if max_moves is None:
         max_moves = 12 * n + 24

@@ -35,6 +35,7 @@ from ._enumerate import (
     resolve_mode,
     ternary_assignment_sums,
 )
+from ._search import check_restarts
 from .core import (
     EdgeFunction,
     InputError,
@@ -184,6 +185,7 @@ def best_basic_search(
     restarts: int = 64,
 ) -> tuple[BasicFunction, float]:
     """Alternating maximization from random starts, both signs."""
+    check_restarts(restarts)
     W = r.values * G.rho
     n = G.n
     pairs = comb(n, 2)

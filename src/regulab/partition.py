@@ -22,8 +22,10 @@ loop additionally stops before the atom count would exceed
 
 which keeps w* >= max mu so no single vertex outweighs a chunk.  Every
 cluster pair gets a direct regularity verdict from the pair loop of
-``regularity.check_partition`` (the one pair-deviation engine), plus
-one extra column, the localized error energy
+``regularity.check_partition``: the one pair-deviation engine for pairs
+with a multi-vertex side, and one batch of 1 x 1 verdicts for the pairs
+of two singleton clusters.  Each pair also gets one extra column, the
+localized error energy
 
     E_ij = sum over W_i x W_j of f_err^2 rho / rho(W_i, W_j) <= eta.
 

@@ -15,14 +15,19 @@ only differs from a strict reading at exact threshold ties.
 One engine, ``pair_verdict``, checks every form of the pair condition:
 exhaustive mode certifies verdicts below a size cap, search mode
 hill-climbs for violating witnesses.  The weighted, classical (unit
-weights), relative and volume forms are front ends to it, and
-``check_partition`` runs every cluster pair through it.
+weights), relative and volume forms are front ends to it.  A 1 x 1
+pair is its own only qualifying sub-pair, so its verdict (exhaustive,
+certified, deviation 0) needs no search.  ``check_partition`` runs
+every cluster pair with a multi-vertex side through the engine and
+gives all pairs of two singleton clusters that same 1 x 1 verdict in
+one batch, their base densities read off one array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import isfinite
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -120,18 +125,18 @@ def pair_verdict(
     """Maximize deviation(tables, wX, wY) over sub-pairs X x Y with
     wX >= eps wa.sum() and wY >= eps wb.sum(), ``tables`` holding each
     cross table summed over X x Y, and pass below ``threshold`` (eps
-    when None).  A 1 x 1 pair is its own only qualifying sub-pair.  No
+    when None).  A 1 x 1 pair gets ``_one_by_one_verdict``.  No
     qualifying sub-pair of finite deviation makes a vacuous pass.
     Witness positions are reported through ``ids_a`` and ``ids_b``.
     """
     ka, kb = crosses[0].shape
-    mode = resolve_mode(mode, ka + kb, cap)
-    if mode == "exhaustive":
-        check_subset_pair_cap(ka, kb, cap)
-    n_qualifying = None
+    mode = _pair_mode(mode, ka, kb, cap)
     if ka == 1 and kb == 1:
-        mode, worst, witness, n_qualifying = "exhaustive", 0.0, ((0,), (0,)), 1
-    elif mode == "exhaustive":
+        return _one_by_one_verdict(
+            eps, base, int(ids_a[0]), int(ids_b[0]), form=form, threshold=threshold
+        )
+    n_qualifying = None
+    if mode == "exhaustive":
         scan = scan_subset_pairs(
             crosses, wa, wb, eps * wa.sum(), eps * wb.sum(), deviation
         )
@@ -149,17 +154,56 @@ def pair_verdict(
         )
         worst = best.value
         witness = None if best.x is None else (best.x, best.y)
-    vacuous = witness is None or not np.isfinite(worst)
+    if witness is not None:
+        witness = (
+            tuple(int(ids_a[i]) for i in witness[0]),
+            tuple(int(ids_b[i]) for i in witness[1]),
+        )
+    return _finish_verdict(eps, mode, worst, witness, n_qualifying, base, form, threshold)
+
+
+def _pair_mode(mode: str, ka: int, kb: int, cap: int) -> str:
+    """The engine's mode for a ka x kb pair, size cap checked."""
+    mode = resolve_mode(mode, ka + kb, cap)
+    if mode == "exhaustive":
+        check_subset_pair_cap(ka, kb, cap)
+    return mode
+
+
+def _one_by_one_verdict(
+    eps: float,
+    base: float,
+    u: int,
+    v: int,
+    *,
+    form: str = "weighted",
+    threshold: float | None = None,
+) -> PairRegularityVerdict:
+    """The verdict on the pair ({u}, {v}), which is its own only
+    qualifying sub-pair: exhaustive, deviation 0, certified."""
+    return _finish_verdict(eps, "exhaustive", 0.0, ((u,), (v,)), 1, base, form, threshold)
+
+
+def _finish_verdict(
+    eps: float,
+    mode: str,
+    worst: float,
+    witness: tuple[tuple[int, ...], tuple[int, ...]] | None,
+    n_qualifying: int | None,
+    base: float,
+    form: str,
+    threshold: float | None,
+) -> PairRegularityVerdict:
+    """Judge the worst deviation found (witness in vertex ids, None when
+    nothing qualified) against the threshold."""
+    vacuous = witness is None or not isfinite(worst)
     passed = vacuous or bool(worst < (eps if threshold is None else threshold))
     return PairRegularityVerdict(
         epsilon=eps, passed=passed, mode=mode,
         certified=mode == "exhaustive" or not passed,
         base_density=base,
         worst_deviation=None if vacuous else float(worst),
-        worst_witness=None if vacuous else (
-            tuple(int(ids_a[i]) for i in witness[0]),
-            tuple(int(ids_b[i]) for i in witness[1]),
-        ),
+        worst_witness=None if vacuous else witness,
         vacuous=vacuous, n_qualifying=n_qualifying, form=form, threshold=threshold,
     )
 
@@ -321,14 +365,38 @@ def cluster_pair_verdicts(
     cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> list[tuple[int, int, PairRegularityVerdict]]:
     """Weighted verdicts (i, j, verdict) for every cluster pair i < j,
-    1-based in row order; the k-th pair is searched with seed + k."""
-    return [
-        (i + 1, j + 1, _weighted_pair(
-            P, cluster_idx[i], cluster_idx[j], eps,
-            mode=mode, seed=seed + k, restarts=restarts, cap=cap,
-        ))
-        for k, (i, j) in enumerate(combinations(range(len(cluster_idx)), 2))
-    ]
+    1-based in row order; the k-th pair is searched with seed + k.
+
+    Pairs with a multi-vertex side go through the engine.  Pairs of two
+    singleton clusters need no search: their base densities are read
+    off one array and each gets the engine's 1 x 1 verdict, after the
+    engine's mode and cap checks have run once, at the first such pair.
+    Errors therefore come from the same pair as one engine call per pair
+    would raise them.
+    """
+    resolve_mode(mode, 2, cap)  # an unknown mode fails even with no pair
+    mu = P.graph.mu
+    singles = [i for i, c in enumerate(cluster_idx) if c.size == 1]
+    s = np.array([cluster_idx[i][0] for i in singles], dtype=np.intp)
+    base = (P.rho_f[np.ix_(s, s)] / np.outer(mu[s], mu[s])).tolist()
+    slot = dict(zip(singles, range(len(singles))))
+    vertex = s.tolist()
+    checked = False
+    verdicts = []
+    for k, (i, j) in enumerate(combinations(range(len(cluster_idx)), 2)):
+        if i in slot and j in slot:
+            if not checked:
+                _pair_mode(mode, 1, 1, cap)
+                checked = True
+            x, y = slot[i], slot[j]
+            v = _one_by_one_verdict(eps, base[x][y], vertex[x], vertex[y])
+        else:
+            v = _weighted_pair(
+                P, cluster_idx[i], cluster_idx[j], eps,
+                mode=mode, seed=seed + k, restarts=restarts, cap=cap,
+            )
+        verdicts.append((i + 1, j + 1, v))
+    return verdicts
 
 
 def partition_report(

@@ -169,6 +169,15 @@ def test_check_pair_requires_sides(tmp_path, capsys):
     assert "sides A and B" in capsys.readouterr().err
 
 
+def test_search_with_no_restarts_is_an_input_error(k8_pair, tmp_path, capsys):
+    k8 = tmp_path / "k8.json"
+    io.save_graph(complete_graph(8), k8)
+    for argv in (["check-qr", "--graph", str(k8), "--beta", "0.3"],
+                 ["check-pair", "--pair", k8_pair, "--eps", "0.3"]):
+        assert main([*argv, "--mode", "search", "--restarts", "0"]) == EXIT_INPUT
+        assert "at least one restart" in capsys.readouterr().err
+
+
 # -- decompose ---------------------------------------------------------------------
 
 

@@ -7,19 +7,25 @@ import pytest
 from regulab import (
     EdgeFunction,
     InputError,
+    ProbMatrixSpec,
     SubgraphPair,
+    best_basic_search,
     check_pair,
     check_pair_exhaustive,
     check_pair_search,
     check_partition,
+    check_quasirandom,
     check_volume_pair,
     classical_epsilon_regular,
     classify_pairs,
+    gen_gnpij,
+    normalize,
     relative_regularity,
     volume_weights,
     weighted_density,
     WeightedGraph,
 )
+from regulab.regularity import cluster_pair_verdicts, partition_indices
 
 import _oracles as oracle
 from _helpers import complete_graph, random_subpair, random_unweighted_edges
@@ -294,3 +300,61 @@ def test_check_partition_balance_and_w0_bounds():
     assert report.w0_mass == 4.0 and report.w0_bound == pytest.approx(2.7)
     # balance gap 1.0 is allowed (max mu = 4), so only w0 fails
     assert report.balance_ok
+
+
+def test_unknown_mode_fails_without_any_cluster_pair():
+    P = SubgraphPair.full(complete_graph(4))
+    with pytest.raises(InputError, match="unknown mode"):
+        check_partition(P, [], [[0, 1, 2, 3]], 0.3, mode="exhastive")
+    for clusters in ([[0, 1, 2, 3]], []):
+        with pytest.raises(InputError, match="unknown mode"):
+            classify_pairs(P, EdgeFunction.zeros(4), clusters, 0.3, 1e-3, mode="exhastive")
+
+
+def _mixed_partition(k):
+    # clusters of sizes 1, 1, 3, 1, 2, 1 on shuffled vertices of a
+    # random host with non-unit vertex weights
+    P = random_subpair(406, k, 9, p_host=0.7, p_keep=0.6, unit_mu=False)
+    order = np.random.default_rng([406, k, 3]).permutation(9).tolist()
+    cuts = np.cumsum([0, 1, 1, 3, 1, 2, 1])
+    return P, [sorted(order[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "search"])
+def test_batched_cluster_verdicts_equal_the_per_pair_engine(k, mode):
+    P, clusters = _mixed_partition(k)
+    _, cluster_idx = partition_indices(9, None, clusters)
+    seed = 10 * k
+    got = cluster_pair_verdicts(P, cluster_idx, 0.3, mode=mode, seed=seed, restarts=8)
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert [(i, j) for i, j, _ in got] == [(i + 1, j + 1) for i, j in pairs]
+    for step, ((i, j), (_, _, v)) in enumerate(zip(pairs, got)):
+        want = check_pair(P, clusters[i], clusters[j], 0.3, mode=mode,
+                          seed=seed + step, restarts=8)
+        assert v == want, (i, j)
+
+
+@pytest.mark.parametrize("sizes, first", [((2, 1, 1), "2\\+1"), ((1, 1, 2), "1\\+1")])
+def test_cluster_pair_cap_error_names_the_first_pair(sizes, first):
+    P = SubgraphPair.full(complete_graph(4))
+    cuts = np.cumsum([0, *sizes])
+    clusters = [range(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    _, cluster_idx = partition_indices(4, None, clusters)
+    with pytest.raises(InputError, match=f"got {first}\\)"):
+        cluster_pair_verdicts(
+            P, cluster_idx, 0.3, mode="exhaustive", seed=0, restarts=8, cap=1
+        )
+
+
+def test_search_needs_at_least_one_restart():
+    G, _ = normalize(gen_gnpij(60, ProbMatrixSpec.constant(0.5), seed=7))
+    P = SubgraphPair.full(G)
+    with pytest.raises(InputError, match="at least one restart"):
+        check_pair(P, range(30), range(30, 60), 0.3, mode="search", restarts=0)
+    with pytest.raises(InputError, match="at least one restart"):
+        check_quasirandom(G, 0.3, mode="search", restarts=0)
+    with pytest.raises(InputError, match="at least one restart"):
+        best_basic_search(G, EdgeFunction.zeros(60), seed=0, restarts=-1)
+    v = check_pair(P, range(30), range(30, 60), 0.3, mode="search", restarts=1)
+    assert not v.vacuous and v.worst_deviation is not None
