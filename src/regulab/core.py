@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, inf
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,6 +74,89 @@ def pair_sides(n: int, A: Iterable[int], B: Iterable[int]) -> tuple[np.ndarray, 
     if np.intersect1d(a, b).size:
         raise InputError("pair sides must be disjoint")
     return a, b
+
+
+def _is_index(x: object) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _index_column(values: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An endpoint column as int64, and the mask of its integer entries.
+
+    Entries that are not integers, or that lie outside int64, become -1
+    and so fail every range check; error messages quote ``values``.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64), np.ones(values.shape, dtype=bool)
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64), np.ones(len(values), dtype=bool)
+        except OverflowError:
+            pass
+    is_int = np.fromiter(map(_is_index, values), dtype=bool, count=len(values))
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    kept = [int(x) if ok and lo <= x <= hi else -1 for x, ok in zip(values, is_int)]
+    return np.array(kept, dtype=np.int64), is_int
+
+
+def _saturated_float(x: float) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the float range
+        return inf if x > 0 else -inf
+
+
+def _weight_column(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Edge weights as float64; integers beyond the float range become +-inf."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return np.array([_saturated_float(x) for x in values], dtype=np.float64)
+
+
+def _columns(rows: Iterable[Sequence], width: int, name: str) -> list[list]:
+    """The columns of an iterable of fixed-width rows."""
+    rows = list(rows)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    bad = np.flatnonzero(lengths != width)
+    if bad.size:
+        raise InputError(f"{name}[{bad[0]}]: expected {width} values")
+    return [list(map(itemgetter(j), rows)) for j in range(width)]
+
+
+_Check = tuple[np.ndarray, Callable[[int], str]]
+
+
+def _raise_first_failure(checks: list[_Check]) -> None:
+    """Raise for the first entry that fails a check.
+
+    Each check is a per-entry pass mask and a message for entry k; the
+    failing entry reports its first failed check in list order.
+    """
+    starts = [fails[0] for fails in (np.flatnonzero(~ok) for ok, _ in checks) if fails.size]
+    if not starts:
+        return
+    k = int(min(starts))
+    raise InputError(next(message(k) for ok, message in checks if not ok[k]))
+
+
+def _endpoint_checks(
+    n: int, u: Sequence[int] | np.ndarray, v: Sequence[int] | np.ndarray, name: str, range_note: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[_Check]]:
+    """Endpoint arrays of an edge list, its in-range mask, and its
+    integer, range and duplicate checks, in that order."""
+    iu, u_int = _index_column(u)
+    iv, v_int = _index_column(v)
+    in_range = (0 <= iu) & (iu < iv) & (iv < n)
+    _, first = np.unique(np.where(in_range, iu * n + iv, -1), return_index=True)
+    fresh = np.zeros(len(iu), dtype=bool)
+    fresh[first] = True
+    checks = [
+        (u_int & v_int, lambda k: f"{name}[{k}]: endpoints must be integers"),
+        (in_range, lambda k: f"{name}[{k}]: need 0 <= u < v < n, got ({u[k]}, {v[k]}){range_note}"),
+        (fresh, lambda k: f"{name}[{k}]: duplicate edge ({u[k]}, {v[k]})"),
+    ]
+    return iu, iv, in_range, checks
 
 
 def _check_pair_matrix(n: int, values: np.ndarray, name: str) -> np.ndarray:
@@ -135,21 +219,31 @@ class WeightedGraph:
         mu: Sequence[float] | np.ndarray,
         edges: Iterable[tuple[int, int, float]],
     ) -> "WeightedGraph":
+        """Graph from (u, v, rho) triples; see ``from_edge_columns``."""
+        return cls.from_edge_columns(n, mu, *_columns(edges, 3, "edges"))
+
+    @classmethod
+    def from_edge_columns(
+        cls,
+        n: int,
+        mu: Sequence[float] | np.ndarray,
+        u: Sequence[int] | np.ndarray,
+        v: Sequence[int] | np.ndarray,
+        w: Sequence[float] | np.ndarray,
+    ) -> "WeightedGraph":
+        """Graph whose k-th edge is (u[k], v[k]) with weight w[k].
+
+        Edges need integer endpoints 0 <= u < v < n, no repeats, and
+        finite positive weights.  The first failing edge is cited, with
+        its first failed check in that order.
+        """
+        iu, iv, _, checks = _endpoint_checks(n, u, v, "edges", f" with n={n}")
+        weights = _weight_column(w)
+        checks.append((np.isfinite(weights) & (weights > 0.0), lambda k: (
+            f"edges[{k}]: edge weight must be finite and positive, got {float(weights[k])}")))
+        _raise_first_failure(checks)
         rho = np.zeros((n, n), dtype=np.float64)
-        seen: set[tuple[int, int]] = set()
-        for k, (u, v, w) in enumerate(edges):
-            if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
-                raise InputError(f"edges[{k}]: endpoints must be integers")
-            if not (0 <= u < v < n):
-                raise InputError(f"edges[{k}]: need 0 <= u < v < n, got ({u}, {v}) with n={n}")
-            if (u, v) in seen:
-                raise InputError(f"edges[{k}]: duplicate edge ({u}, {v})")
-            w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
-                raise InputError(f"edges[{k}]: edge weight must be finite and positive, got {w}")
-            seen.add((u, v))
-            rho[u, v] = w
-            rho[v, u] = w
+        rho[iu, iv] = rho[iv, iu] = weights
         return cls(n=n, mu=np.asarray(mu, dtype=np.float64), rho=rho)
 
     # -- basic views ---------------------------------------------------
@@ -161,7 +255,7 @@ class WeightedGraph:
     def edge_list(self) -> list[tuple[int, int, float]]:
         """Edges as (u, v, rho) with u < v, sorted lexicographically."""
         iu, iv = np.nonzero(np.triu(self.rho, k=1))
-        return [(int(u), int(v), float(self.rho[u, v])) for u, v in zip(iu, iv)]
+        return list(zip(iu.tolist(), iv.tolist(), self.rho[iu, iv].tolist()))
 
     @property
     def edge_count(self) -> int:
@@ -212,17 +306,26 @@ class SubgraphPair:
     def from_edges(
         cls, graph: WeightedGraph, f_edges: Iterable[tuple[int, int]]
     ) -> "SubgraphPair":
-        n = graph.n
-        mask = np.zeros((n, n), dtype=bool)
-        for k, (u, v) in enumerate(f_edges):
-            if not (0 <= u < v < n):
-                raise InputError(f"f_edges[{k}]: need 0 <= u < v < n, got ({u}, {v})")
-            if mask[u, v]:
-                raise InputError(f"f_edges[{k}]: duplicate edge ({u}, {v})")
-            if graph.rho[u, v] == 0.0:
-                raise InputError(f"f_edges[{k}]: ({u}, {v}) is not an edge of the host graph")
-            mask[u, v] = True
-            mask[v, u] = True
+        """Pair from (u, v) edge tuples; see ``from_edge_columns``."""
+        return cls.from_edge_columns(graph, *_columns(f_edges, 2, "f_edges"))
+
+    @classmethod
+    def from_edge_columns(
+        cls, graph: WeightedGraph, u: Sequence[int] | np.ndarray, v: Sequence[int] | np.ndarray
+    ) -> "SubgraphPair":
+        """Pair whose k-th F-edge is (u[k], v[k]).
+
+        F-edges need integer endpoints 0 <= u < v < n, no repeats, and
+        must be host edges.  The first failing edge is cited, with its
+        first failed check in that order.
+        """
+        iu, iv, in_range, checks = _endpoint_checks(graph.n, u, v, "f_edges", "")
+        host = np.ones(len(iu), dtype=bool)
+        host[in_range] = graph.rho[iu[in_range], iv[in_range]] != 0.0
+        checks.append((host, lambda k: f"f_edges[{k}]: ({u[k]}, {v[k]}) is not an edge of the host graph"))
+        _raise_first_failure(checks)
+        mask = np.zeros((graph.n, graph.n), dtype=bool)
+        mask[iu, iv] = mask[iv, iu] = True
         return cls(graph=graph, f_mask=mask)
 
     @classmethod
@@ -235,7 +338,7 @@ class SubgraphPair:
 
     def f_edge_list(self) -> list[tuple[int, int]]:
         iu, iv = np.nonzero(np.triu(self.f_mask, k=1))
-        return [(int(u), int(v)) for u, v in zip(iu, iv)]
+        return list(zip(iu.tolist(), iv.tolist()))
 
     def indicator(self) -> "EdgeFunction":
         """The pair function 1_F (1 on F's edges, 0 elsewhere)."""

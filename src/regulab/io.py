@@ -8,9 +8,17 @@ Graph files look like
 with 0-based endpoints, u < v, no duplicates.  Pair files add
 ``f_edges`` (subgraph edges, weightless) and optionally ``A``/``B``
 (vertex lists).  Partition files are ``{"clusters": [[...], ...]}`` with
-cluster 0 playing the role of the exceptional set W0.  Validation
-errors cite the offending entry by index.  Unknown top-level keys are
-ignored so files may carry extra metadata (for example part labels).
+cluster 0 playing the role of the exceptional set W0.  Endpoints and
+vertices are JSON integers: ``true`` and ``1.0`` are rejected.  Weights
+are JSON numbers; an integer too large for a float is not finite.
+Validation errors name the first offending entry by index: every entry's
+shape and types are checked before any endpoint range, duplicate, weight
+or host edge.  Unknown top-level keys are ignored so files may carry
+extra metadata (for example part labels).
+
+Valid files are checked and converted a whole column at a time.  Only a
+file that fails a bulk shape or type check is walked entry by entry, to
+name the offender; the later checks find theirs with array masks.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -50,8 +59,8 @@ __all__ = [
 def graph_to_dict(G: WeightedGraph) -> dict[str, Any]:
     return {
         "n": G.n,
-        "mu": [float(x) for x in G.mu],
-        "edges": [[u, v, w] for u, v, w in G.edge_list()],
+        "mu": G.mu.tolist(),
+        "edges": list(map(list, G.edge_list())),
     }
 
 
@@ -60,35 +69,82 @@ def _require(condition: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive_finite(x: int | float) -> bool:
+    try:
+        return math.isfinite(x) and x > 0
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _types(column: list[Any]) -> set[type]:
+    return set(map(type, column))
+
+
+def _as_array(column: list[Any], dtype: type) -> np.ndarray | list[Any]:
+    """``column`` as an array of ``dtype``, or unchanged when it holds an
+    integer beyond the dtype's range: such a column is then checked
+    entry by entry, so the offender is cited by its own value."""
+    try:
+        return np.array(column, dtype=dtype)
+    except OverflowError:
+        return column
+
+
+def _vertex_weights(mu: list[Any]) -> np.ndarray:
+    """``mu`` as float64 after checking every entry is a positive finite number."""
+    if _types(mu) <= {int, float}:
+        weights = _as_array(mu, np.float64)
+        if isinstance(weights, np.ndarray) and np.isfinite(weights).all() and (weights > 0.0).all():
+            return weights
+    for i, x in enumerate(mu):
+        _require(_is_number(x) and _positive_finite(x),
+                 f"mu[{i}]: vertex weight must be a positive finite number, got {x!r}")
+    return np.asarray(mu, dtype=np.float64)
+
+
+def _edge_columns(edges: list[Any], key: str, width: int) -> list[np.ndarray | list[Any]]:
+    """The int64 u and v (and, at width 3, float64 rho) columns of an
+    edge list, after checking every entry's shape and types."""
+    shape = "[u, v, rho]" if width == 3 else "[u, v]"
+    columns = None
+    if _types(edges) <= {list} and set(map(len, edges)) <= {width}:
+        columns = [list(map(itemgetter(j), edges)) for j in range(width)]
+        if not (_types(columns[0]) | _types(columns[1]) <= {int} and (
+                width == 2 or _types(columns[2]) <= {int, float})):
+            columns = None
+    if columns is None:
+        # Some entry fails, or is of a subclass the bulk test does not know.
+        for k, e in enumerate(edges):
+            _require(isinstance(e, list) and len(e) == width, f"{key}[{k}]: expected {shape}")
+            _require(_is_int(e[0]) and _is_int(e[1]), f"{key}[{k}]: endpoints must be integers")
+            _require(width == 2 or _is_number(e[2]), f"{key}[{k}]: weight must be a number")
+        columns = [list(map(itemgetter(j), edges)) for j in range(width)]
+    return [_as_array(c, dtype) for c, dtype in zip(columns, (np.int64, np.int64, np.float64))]
+
+
 def graph_from_dict(data: Any) -> WeightedGraph:
     _require(isinstance(data, dict), "graph: expected a JSON object")
     _require("n" in data, "graph: missing key 'n'")
     n = data["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+    _require(_is_int(n) and n >= 1,
              f"graph: 'n' must be a positive integer, got {n!r}")
     _require("mu" in data, "graph: missing key 'mu'")
     mu = data["mu"]
     _require(isinstance(mu, list), "graph: 'mu' must be a list")
     _require(len(mu) == n, f"graph: 'mu' has {len(mu)} entries, expected n={n}")
-    for i, x in enumerate(mu):
-        _require(isinstance(x, (int, float)) and not isinstance(x, bool)
-                 and math.isfinite(x) and x > 0,
-                 f"mu[{i}]: vertex weight must be a positive finite number, got {x!r}")
+    weights = _vertex_weights(mu)
     _require("edges" in data, "graph: missing key 'edges'")
     edges = data["edges"]
     _require(isinstance(edges, list), "graph: 'edges' must be a list")
-    parsed = []
-    for k, e in enumerate(edges):
-        _require(isinstance(e, list) and len(e) == 3,
-                 f"edges[{k}]: expected [u, v, rho]")
-        u, v, w = e
-        _require(isinstance(u, int) and isinstance(v, int)
-                 and not isinstance(u, bool) and not isinstance(v, bool),
-                 f"edges[{k}]: endpoints must be integers")
-        _require(isinstance(w, (int, float)) and not isinstance(w, bool),
-                 f"edges[{k}]: weight must be a number")
-        parsed.append((u, v, float(w)))
-    return WeightedGraph.from_edges(n, np.asarray(mu, dtype=np.float64), parsed)
+    return WeightedGraph.from_edge_columns(n, weights, *_edge_columns(edges, "edges", 3))
 
 
 def save_graph(G: WeightedGraph, path: str | Path, extra: dict[str, Any] | None = None) -> None:
@@ -124,7 +180,7 @@ def pair_to_dict(
     B: list[int] | None = None,
 ) -> dict[str, Any]:
     payload = graph_to_dict(P.graph)
-    payload["f_edges"] = [[u, v] for u, v in P.f_edge_list()]
+    payload["f_edges"] = list(map(list, P.f_edge_list()))
     if A is not None:
         payload["A"] = [int(x) for x in A]
     if B is not None:
@@ -137,15 +193,9 @@ def pair_from_dict(data: Any) -> tuple[SubgraphPair, list[int] | None, list[int]
     _require("f_edges" in data, "pair: missing key 'f_edges'")
     f_edges = data["f_edges"]
     _require(isinstance(f_edges, list), "pair: 'f_edges' must be a list")
-    parsed = []
-    for k, e in enumerate(f_edges):
-        _require(isinstance(e, list) and len(e) == 2, f"f_edges[{k}]: expected [u, v]")
-        u, v = e
-        _require(isinstance(u, int) and isinstance(v, int),
-                 f"f_edges[{k}]: endpoints must be integers")
-        parsed.append((u, v))
+    u, v = _edge_columns(f_edges, "f_edges", 2)
     try:
-        pair = SubgraphPair.from_edges(G, parsed)
+        pair = SubgraphPair.from_edge_columns(G, u, v)
     except InputError as exc:
         raise InputError(f"pair: {exc}") from exc
     sides: list[list[int] | None] = []
@@ -156,8 +206,7 @@ def pair_from_dict(data: Any) -> tuple[SubgraphPair, list[int] | None, list[int]
         side = data[key]
         _require(isinstance(side, list), f"pair: '{key}' must be a list of vertices")
         for i, x in enumerate(side):
-            _require(isinstance(x, int) and not isinstance(x, bool),
-                     f"{key}[{i}]: vertex must be an integer")
+            _require(_is_int(x), f"{key}[{i}]: vertex must be an integer")
         index_array(G.n, side, key)  # range check
         sides.append([int(x) for x in side])
     return pair, sides[0], sides[1]
@@ -185,8 +234,7 @@ def partition_from_dict(data: Any, n: int) -> tuple[list[int], list[list[int]]]:
     for i, cluster in enumerate(clusters):
         _require(isinstance(cluster, list), f"clusters[{i}]: expected a list of vertices")
         for j, x in enumerate(cluster):
-            _require(isinstance(x, int) and not isinstance(x, bool),
-                     f"clusters[{i}][{j}]: vertex must be an integer")
+            _require(_is_int(x), f"clusters[{i}][{j}]: vertex must be an integer")
             _require(0 <= x < n, f"clusters[{i}][{j}]: vertex {x} out of range [0, {n})")
             _require(x not in seen, f"clusters[{i}][{j}]: vertex {x} appears twice")
             seen.add(x)

@@ -7,7 +7,7 @@ the library's convention.
 """
 
 from itertools import combinations, product
-from math import comb, inf
+from math import comb, inf, isfinite
 
 FLOOR_TOL = 1e-9
 
@@ -191,3 +191,114 @@ def inner(rho, g, h):
         g[u][v] * h[u][v] * rho[u][v] for u in range(n) for v in range(u + 1, n)
     )
     return total / comb(n, 2)
+
+
+# -- file validation -----------------------------------------------------------
+
+
+class EntryError(ValueError):
+    """A graph or pair dict the reference validator rejects."""
+
+
+def _require(condition, message):
+    if not condition:
+        raise EntryError(message)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive_finite(x):
+    try:
+        return isfinite(x) and x > 0
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _as_float(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
+def graph_from_dict(data):
+    """One entry at a time, the validation of a graph dict as the file
+    reader did it before it checked whole columns: every entry's shape
+    and types first, then each edge's range, repeat and weight in order.
+    That reader crashed on an integer too large for a float; here, as in
+    the package, such a weight is not finite.
+
+    Returns (n, mu, rho) as Python lists; raises EntryError.
+    """
+    _require(isinstance(data, dict), "graph: expected a JSON object")
+    _require("n" in data, "graph: missing key 'n'")
+    n = data["n"]
+    _require(_is_int(n) and n >= 1, f"graph: 'n' must be a positive integer, got {n!r}")
+    _require("mu" in data, "graph: missing key 'mu'")
+    mu = data["mu"]
+    _require(isinstance(mu, list), "graph: 'mu' must be a list")
+    _require(len(mu) == n, f"graph: 'mu' has {len(mu)} entries, expected n={n}")
+    for i, x in enumerate(mu):
+        _require(_is_number(x) and _positive_finite(x),
+                 f"mu[{i}]: vertex weight must be a positive finite number, got {x!r}")
+    _require("edges" in data, "graph: missing key 'edges'")
+    edges = data["edges"]
+    _require(isinstance(edges, list), "graph: 'edges' must be a list")
+    parsed = []
+    for k, e in enumerate(edges):
+        _require(isinstance(e, list) and len(e) == 3, f"edges[{k}]: expected [u, v, rho]")
+        u, v, w = e
+        _require(_is_int(u) and _is_int(v), f"edges[{k}]: endpoints must be integers")
+        _require(_is_number(w), f"edges[{k}]: weight must be a number")
+        parsed.append((u, v, _as_float(w)))
+    rho = [[0.0] * n for _ in range(n)]
+    seen = set()
+    for k, (u, v, w) in enumerate(parsed):
+        _require(0 <= u < v < n, f"edges[{k}]: need 0 <= u < v < n, got ({u}, {v}) with n={n}")
+        _require((u, v) not in seen, f"edges[{k}]: duplicate edge ({u}, {v})")
+        _require(isfinite(w) and w > 0.0,
+                 f"edges[{k}]: edge weight must be finite and positive, got {w}")
+        seen.add((u, v))
+        rho[u][v] = rho[v][u] = w
+    return n, [float(x) for x in mu], rho
+
+
+def pair_from_dict(data):
+    """The pair-dict counterpart of ``graph_from_dict``.  Boolean F-edge
+    endpoints are rejected like graph endpoints (the old reader crashed
+    on them).
+
+    Returns (n, mu, rho, f_mask, A, B) as Python lists; raises EntryError.
+    """
+    n, mu, rho = graph_from_dict(data)
+    _require("f_edges" in data, "pair: missing key 'f_edges'")
+    f_edges = data["f_edges"]
+    _require(isinstance(f_edges, list), "pair: 'f_edges' must be a list")
+    for k, e in enumerate(f_edges):
+        _require(isinstance(e, list) and len(e) == 2, f"f_edges[{k}]: expected [u, v]")
+        _require(_is_int(e[0]) and _is_int(e[1]), f"f_edges[{k}]: endpoints must be integers")
+    mask = [[False] * n for _ in range(n)]
+    for k, (u, v) in enumerate(f_edges):
+        _require(0 <= u < v < n, f"pair: f_edges[{k}]: need 0 <= u < v < n, got ({u}, {v})")
+        _require(not mask[u][v], f"pair: f_edges[{k}]: duplicate edge ({u}, {v})")
+        _require(rho[u][v] != 0.0,
+                 f"pair: f_edges[{k}]: ({u}, {v}) is not an edge of the host graph")
+        mask[u][v] = mask[v][u] = True
+    sides = []
+    for key in ("A", "B"):
+        if key not in data:
+            sides.append(None)
+            continue
+        side = data[key]
+        _require(isinstance(side, list), f"pair: '{key}' must be a list of vertices")
+        for i, x in enumerate(side):
+            _require(_is_int(x), f"{key}[{i}]: vertex must be an integer")
+        _require(all(0 <= x < n for x in side), f"{key}: vertex indices must lie in [0, {n})")
+        sides.append(list(side))
+    return n, mu, rho, mask, sides[0], sides[1]

@@ -129,6 +129,24 @@ def test_malformed_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "mu, weight, message",
+    [
+        (HUGE, "1", f"mu[0]: vertex weight must be a positive finite number, got {HUGE}"),
+        ("1", HUGE, "edges[0]: edge weight must be finite and positive, got inf"),
+    ],
+    ids=["mu", "weight"],
+)
+def test_integer_beyond_the_float_range_is_an_input_error(mu, weight, message, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"n": 3, "mu": [{mu}, 1, 1], "edges": [[0, 1, {weight}]]}}')
+    assert main(["check-qr", "--graph", str(path), "--beta", "0.1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- check-pair ---------------------------------------------------------------------
 
 
@@ -167,6 +185,15 @@ def test_check_pair_requires_sides(tmp_path, capsys):
     path = write_pair(tmp_path / "nosides.json", SubgraphPair.full(complete_graph(4)))
     assert main(["check-pair", "--pair", path, "--eps", "0.3"]) == EXIT_INPUT
     assert "sides A and B" in capsys.readouterr().err
+
+
+def test_boolean_f_edge_endpoints_are_an_input_error(tmp_path, capsys):
+    payload = io.pair_to_dict(SubgraphPair.full(complete_graph(4)), A=[0, 1], B=[2, 3])
+    payload["f_edges"] = [[False, True]]
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check-pair", "--pair", str(path), "--eps", "0.3"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: f_edges[0]: endpoints must be integers\n"
 
 
 def test_search_with_no_restarts_is_an_input_error(k8_pair, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """JSON serialization: lossless roundtrips, index-precise validation
 errors, report payload hygiene."""
 
+import copy
 import json
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from regulab import (
     partition_to_dict,
     save_graph,
 )
+from regulab.core import HeavyVertexWarning
 from regulab.io import SCHEMA_VERSION, json_safe
 
+import _oracles
 from _helpers import random_graph, random_subpair
 
 
@@ -137,6 +142,202 @@ def test_pair_f_edges_must_be_host_edges():
     d["f_edges"] = [[0, 2]]
     with pytest.raises(InputError, match="not an edge"):
         pair_from_dict(d)
+
+
+def test_boolean_f_edge_endpoints_are_rejected():
+    d = graph_to_dict(WeightedGraph.from_edges(3, np.ones(3), [(0, 1, 1.0)]))
+    d["f_edges"] = [[False, True]]
+    with pytest.raises(InputError, match=r"^f_edges\[0\]: endpoints must be integers$"):
+        pair_from_dict(d)
+    G = graph_from_dict(d)
+    with pytest.raises(InputError, match=r"^f_edges\[0\]: endpoints must be integers$"):
+        SubgraphPair.from_edges(G, [(False, True)])
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+BEYOND_INT64 = 10**30
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["mu"].__setitem__(1, HUGE),
+         rf"^mu\[1\]: vertex weight must be a positive finite number, got {HUGE}$"),
+        (lambda d: d["edges"][1].__setitem__(2, HUGE),
+         r"^edges\[1\]: edge weight must be finite and positive, got inf$"),
+        (lambda d: d["edges"][0].__setitem__(2, -HUGE),
+         r"^edges\[0\]: edge weight must be finite and positive, got -inf$"),
+        (lambda d: d["edges"][1].__setitem__(1, BEYOND_INT64),
+         rf"^edges\[1\]: need 0 <= u < v < n, got \(2, {BEYOND_INT64}\) with n=5$"),
+        (lambda d: d["edges"][0].__setitem__(0, -BEYOND_INT64),
+         rf"^edges\[0\]: need 0 <= u < v < n, got \(-{BEYOND_INT64}, 1\) with n=5$"),
+        (lambda d: d["f_edges"][0].__setitem__(1, 2**63),
+         rf"^pair: f_edges\[0\]: need 0 <= u < v < n, got \(0, {2**63}\)$"),
+    ],
+    ids=["mu", "weight", "negative weight", "endpoint", "negative endpoint", "f-edge endpoint"],
+)
+def test_integers_beyond_float_or_int64_are_input_errors(mutate, message):
+    d = {"n": 5, "mu": [1.0] * 5, "edges": [[0, 1, 1.0], [2, 3, 2.0]], "f_edges": [[0, 1]]}
+    mutate(d)
+    with pytest.raises(InputError, match=message):
+        pair_from_dict(d)
+
+
+# -- error parity with the per-entry reference ----------------------------------
+
+
+def _base_dict(rng):
+    """A small valid pair dict: edges in random order, integer and float
+    weights (some beyond 2**53), and sometimes sides."""
+    n = rng.randint(4, 8)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weights = (1, 3, 2**53 + 1, 10**20, 0.25)
+    host = [[u, v, rng.choice(weights + (rng.uniform(0.5, 2.0),) * 3)]
+            for u, v in rng.sample(pairs, rng.randint(3, len(pairs)))]
+    d = {
+        "n": n,
+        "mu": [rng.choice((1, 2**53 + 1, rng.uniform(0.5, 2.0))) for _ in range(n)],
+        "edges": host,
+        "f_edges": [[u, v] for u, v, _ in rng.sample(host, rng.randint(1, len(host)))],
+    }
+    if rng.random() < 0.5:
+        d["A"], d["B"] = list(range(n // 2)), list(range(n // 2, n))
+    return d
+
+
+def _entry(d, key, rng):
+    return rng.randrange(len(d[key]))
+
+
+def _set_endpoint(key, values):
+    def mutate(d, rng):
+        d[key][_entry(d, key, rng)][rng.randrange(2)] = rng.choice(values(d))
+    return mutate
+
+
+def _reverse(key):
+    def mutate(d, rng):
+        e = d[key][_entry(d, key, rng)]
+        e[0], e[1] = (e[1], e[0]) if rng.random() < 0.7 else (e[0], e[0])
+    return mutate
+
+
+def _repeat(key):
+    def mutate(d, rng):
+        j = _entry(d, key, rng)
+        d[key].insert(rng.randint(j + 1, len(d[key])), list(d[key][j]))
+    return mutate
+
+
+def _not_a_host_edge(d, rng):
+    host = {(e[0], e[1]) for e in d["edges"]}
+    missing = [[u, v] for u in range(d["n"]) for v in range(u + 1, d["n"]) if (u, v) not in host]
+    if missing:
+        d["f_edges"].insert(rng.randint(0, len(d["f_edges"])), rng.choice(missing))
+
+
+def _out_of_range(d):
+    return -1, d["n"], d["n"] + 3, BEYOND_INT64, -BEYOND_INT64, 2**63, -(2**63) - 1
+
+
+def _not_an_integer(d):
+    return True, False, 1.0, "1", None, [0]
+
+
+BAD_WEIGHTS = (0, 0.0, -1, -2.5, float("nan"), float("inf"), float("-inf"), HUGE, -HUGE)
+
+MUTATIONS = {
+    "edge shape": lambda d, rng: d["edges"].__setitem__(
+        _entry(d, "edges", rng), rng.choice(([0, 1], [0, 1, 1.0, 1], "x", 7, None, {"u": 0}))),
+    "f-edge shape": lambda d, rng: d["f_edges"].__setitem__(
+        _entry(d, "f_edges", rng), rng.choice(([0, 1, 1], [0], "x", None))),
+    "edge endpoint type": _set_endpoint("edges", _not_an_integer),
+    "f-edge endpoint type": _set_endpoint("f_edges", _not_an_integer),
+    "weight type": lambda d, rng: d["edges"][_entry(d, "edges", rng)].__setitem__(
+        2, rng.choice((True, "1", None, [1]))),
+    "mu entry": lambda d, rng: d["mu"].__setitem__(
+        _entry(d, "mu", rng), rng.choice(BAD_WEIGHTS + (True, "1", None))),
+    "mu shape": lambda d, rng: d.update(mu=rng.choice(("x", d["mu"][:-1], {}))),
+    "n": lambda d, rng: d.update(n=rng.choice(("5", True, 0, -1, 5.0))),
+    "missing key": lambda d, rng: d.pop(rng.choice(("n", "mu", "edges", "f_edges"))),
+    "not a list": lambda d, rng: d.update({rng.choice(("edges", "f_edges")): rng.choice(("x", {}))}),
+    "edge out of range": _set_endpoint("edges", _out_of_range),
+    "f-edge out of range": _set_endpoint("f_edges", _out_of_range),
+    "edge reversed": _reverse("edges"),
+    "f-edge reversed": _reverse("f_edges"),
+    "duplicate edge": _repeat("edges"),
+    "duplicate f-edge": _repeat("f_edges"),
+    "weight value": lambda d, rng: d["edges"][_entry(d, "edges", rng)].__setitem__(
+        2, rng.choice(BAD_WEIGHTS)),
+    "not a host edge": _not_a_host_edge,
+    "side": lambda d, rng: d.update(A=rng.choice(("x", [0, True], [0, "1"], [d["n"]], [-1]))),
+}
+
+
+def _library_outcome(fn, d):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HeavyVertexWarning)
+            result = fn(copy.deepcopy(d))
+    except InputError as exc:
+        assert type(exc) is InputError
+        return "error", str(exc)
+    if fn is graph_from_dict:
+        return "ok", result.n, result.mu.tolist(), result.rho.tolist()
+    P, A, B = result
+    return "ok", P.n, P.graph.mu.tolist(), P.graph.rho.tolist(), P.f_mask.tolist(), A, B
+
+
+def _reference_outcome(fn, d):
+    try:
+        return ("ok", *fn(copy.deepcopy(d)))
+    except _oracles.EntryError as exc:
+        return "error", str(exc)
+
+
+def test_errors_match_the_per_entry_reference():
+    """Seeded one- and two-fault mutations of small dicts: the array
+    checks raise the reference's exception, message and cited entry,
+    and accept what it accepts with the same arrays."""
+    names = sorted(MUTATIONS)
+    seen = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        d = _base_dict(rng)
+        faults = rng.sample(names, 1 if seed % 3 else 2) if seed % 20 else []
+        for name in faults:
+            try:
+                MUTATIONS[name](d, rng)
+            except (KeyError, IndexError, TypeError, AttributeError, ValueError):
+                pass  # an earlier fault removed what this one changes
+        for new, ref in ((graph_from_dict, _oracles.graph_from_dict),
+                         (pair_from_dict, _oracles.pair_from_dict)):
+            expected = _reference_outcome(ref, d)
+            assert _library_outcome(new, d) == expected, (seed, faults, d)
+            seen.add(expected[0] if expected[0] == "ok" else expected[1])
+    for part in ("ok", "expected [u, v, rho]", "expected [u, v]", "endpoints must be integers",
+                 "weight must be a number", "need 0 <= u < v < n", "duplicate edge",
+                 "edge weight must be finite and positive, got inf",
+                 "vertex weight must be a positive finite number", "is not an edge of the host graph",
+                 f"got ({BEYOND_INT64}", "vertex must be an integer", "must lie in"):
+        assert any(part in s for s in seen), part
+
+
+def test_pair_roundtrip_at_n300_is_bit_exact():
+    P = random_subpair(203, 0, 300, unit_mu=False)
+    A, B = list(range(0, 300, 3)), list(range(1, 300, 3))
+    d = json.loads(json.dumps(pair_to_dict(P, A=A, B=B)))
+    assert len(d["edges"]) > 20000
+    Q, QA, QB = pair_from_dict(d)
+    G = graph_from_dict(d)
+    for H in (Q.graph, G):
+        assert H.rho.tobytes() == P.graph.rho.tobytes()
+        assert H.mu.tobytes() == P.graph.mu.tobytes()
+    assert Q.f_mask.tobytes() == P.f_mask.tobytes()
+    assert (QA, QB) == (A, B)
+    n, mu, rho, f_mask, RA, RB = _oracles.pair_from_dict(d)
+    assert np.array(rho).tobytes() == P.graph.rho.tobytes()
+    assert np.array(f_mask).tobytes() == P.f_mask.tobytes()
 
 
 # -- partitions ----------------------------------------------------------------
