@@ -21,10 +21,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import InputError
+from .core import FLOAT_TOL, InputError
 
 TERNARY_CAP_DEFAULT = 14
 SUBSET_PAIR_CAP_DEFAULT = 26
+SCAN_BLOCK_CELLS = 1 << 22  # table cells the subset-pair scan holds at once
+
+
+@dataclass(frozen=True)
+class Maximum:
+    """The best value of one maximization and the witness attaining it.
+
+    ``a`` and ``b`` are the witness sides as sorted position tuples,
+    None when nothing qualified.  The work counters are
+    ``n_qualifying`` (states enumerated that clear the floors; None for
+    a search) and ``restarts`` and ``moves`` (zero for an enumeration).
+    """
+
+    value: float
+    a: tuple[int, ...] | None
+    b: tuple[int, ...] | None
+    n_qualifying: int | None = None
+    restarts: int = 0
+    moves: int = 0
 
 
 def resolve_mode(mode: str, size: int, cap: int) -> str:
@@ -88,6 +107,26 @@ def decode_assignment(code: int, n: int) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(a), tuple(b)
 
 
+def ternary_argmax(
+    weights: np.ndarray,
+    mu: np.ndarray,
+    floor: float,
+    objective: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> Maximum:
+    """Maximize objective(s_ab, mu_a, mu_b) over disjoint (A, B) with
+    mu(A), mu(B) >= floor (within FLOAT_TOL), by enumeration."""
+    mu_a, mu_b, s_ab = ternary_assignment_sums(weights, mu)
+    qualifying = (mu_a >= floor - FLOAT_TOL) & (mu_b >= floor - FLOAT_TOL)
+    n_qualifying = int(qualifying.sum())
+    if not n_qualifying:
+        return Maximum(-np.inf, None, None, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = objective(s_ab, mu_a, mu_b)
+    values = np.where(qualifying, values, -np.inf)
+    code = int(np.argmax(values))
+    return Maximum(float(values[code]), *decode_assignment(code, mu.shape[0]), n_qualifying)
+
+
 def check_ternary_cap(n: int, cap: int) -> None:
     if n > cap:
         raise InputError(
@@ -121,20 +160,6 @@ def _membership_block(k: int, start: int, stop: int) -> np.ndarray:
     return ((codes[None, :] >> shifts) & 1).astype(np.float64)
 
 
-@dataclass
-class SubsetPairScan:
-    """Result of maximizing a deviation over qualifying subset pairs."""
-
-    best_value: float
-    best_a_index: int
-    best_b_index: int
-    n_qualifying: int
-
-    @property
-    def vacuous(self) -> bool:
-        return self.n_qualifying == 0
-
-
 def scan_subset_pairs(
     crosses: Sequence[np.ndarray],
     a_weights: np.ndarray,
@@ -142,34 +167,32 @@ def scan_subset_pairs(
     a_floor: float,
     b_floor: float,
     value_fn: Callable[[list[np.ndarray], np.ndarray, np.ndarray], np.ndarray],
-    *,
-    floor_tol: float = 1e-9,
-    max_cells: int = 1 << 22,
-) -> SubsetPairScan:
+) -> Maximum:
     """Maximize value_fn over pairs (X, Y) of qualifying subsets.
 
     ``crosses`` are (|A|, |B|) matrices; for each the scanner forms the
     table of sums over X x Y.  ``value_fn(tables, wx, wy)`` receives one
     table block per cross plus the matching subset-mass column/row and
     returns the deviation block.  Qualifying means subset mass >= floor
-    (within floor_tol) and nonempty.  The maximizer is the first in
-    (X, Y)-lexicographic order, scanned blockwise.
+    (within FLOAT_TOL) and nonempty.  The maximizer is the first in
+    (X, Y)-lexicographic order, scanned blockwise; no witness is
+    reported when no qualifying value exceeds -inf.
     """
     ka = int(a_weights.shape[0])
     kb = int(b_weights.shape[0])
     wa = subset_sums(a_weights)
     wb = subset_sums(b_weights)
-    qa = wa >= a_floor - floor_tol
-    qb = wb >= b_floor - floor_tol
+    qa = wa >= a_floor - FLOAT_TOL
+    qb = wb >= b_floor - FLOAT_TOL
     qa[0] = False
     qb[0] = False
     n_qualifying = int(qa.sum()) * int(qb.sum())
     if n_qualifying == 0:
-        return SubsetPairScan(float("nan"), -1, -1, 0)
+        return Maximum(-np.inf, None, None, 0)
 
     nb = 1 << kb
-    col_block = min(nb, max(1, max_cells // 256))
-    row_block = max(1, max_cells // col_block)
+    col_block = min(nb, max(1, SCAN_BLOCK_CELLS // 256))
+    row_block = max(1, SCAN_BLOCK_CELLS // col_block)
 
     mb_blocks = [
         (cs, min(cs + col_block, nb), _membership_block(kb, cs, min(cs + col_block, nb)))
@@ -204,7 +227,11 @@ def scan_subset_pairs(
                 best_value = val
                 best_a = rs + flat // block.shape[1]
                 best_b = cs + flat % block.shape[1]
-    return SubsetPairScan(best_value, best_a, best_b, n_qualifying)
+    if best_a < 0:
+        return Maximum(best_value, None, None, n_qualifying)
+    return Maximum(
+        best_value, decode_subset(best_a, ka), decode_subset(best_b, kb), n_qualifying
+    )
 
 
 def check_subset_pair_cap(size_a: int, size_b: int, cap: int) -> None:

@@ -1,57 +1,86 @@
-"""Witness search by steepest-ascent hill climbing.
+"""Witness search by steepest-ascent hill climbing from seeded restarts.
 
 Exhaustive enumeration certifies verdicts but hits hard caps; beyond
-them the checkers fall back to randomized local search.  Two searchers
-cover the recurring state shapes:
+them the checkers fall back to randomized local search.  One restart
+loop, ``best_of_restarts``, runs every search: restart r starts from
+``default_rng([seed, r])``, the loop stops at the first restart with no
+feasible start, and it keeps the best local optimum, near-ties within
+IMPROVE_TOL going to the lexicographically smallest witness, so results
+are reproducible for a fixed seed.  Three searches hand it their own
+start and climb:
 
 * ``pair_witness_search``: subsets X of a fixed side A and Y of a fixed
   side B, moves toggle one vertex in or out, mass floors respected;
 * ``disjoint_pair_search``: disjoint (A, B) inside the whole vertex set,
-  moves reassign one vertex between {outside, A, B}.
+  moves reassign one vertex between {outside, A, B};
+* ``decomposition.best_basic_search``: alternating best responses for
+  both signs of a correlation.
 
-Both evaluate every single-vertex move incrementally, apply the best
-strictly improving one, and restart from seeded random states.  A found
-violation is a certificate; exhausting the budget without one is not.
-Ties break deterministically (lowest move index, then lexicographically
-smallest witness across restarts), so results are reproducible for a
-fixed seed regardless of scheduling.
+The two climbs here evaluate every single-vertex move incrementally and
+apply the best strictly improving one (lowest move index on ties).
+Every search returns one ``Maximum`` record, as enumeration does.  A
+found violation is a certificate; exhausting the budget without one is
+not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import InputError
+from ._enumerate import Maximum
+from .core import FLOAT_TOL, InputError
 
 IMPROVE_TOL = 1e-15
-FLOOR_TOL = 1e-9
 
 Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# a climb's local optimum: value, the two witness sides as masks, moves made
+LocalOptimum = tuple[float, np.ndarray, np.ndarray, int]
 
 
-@dataclass
-class SearchBest:
-    """Best witness found across restarts (None sets when infeasible)."""
-
-    value: float
-    x: tuple[int, ...] | None
-    y: tuple[int, ...] | None
-    restarts: int
-    moves: int
+def _move_budget(size: int) -> int:
+    """Climb moves allowed on a state over ``size`` vertices."""
+    return 12 * size + 24
 
 
-def check_restarts(restarts: int) -> None:
-    """A search needs at least one restart: with none, nothing is
-    searched, and an empty result would read as a vacuous pass."""
+def best_of_restarts(
+    seed: int,
+    restarts: int,
+    start: Callable[[np.random.Generator], object | None],
+    climb: Callable[[object], Iterable[LocalOptimum]],
+    rank: Callable[[float], float] = float,
+) -> Maximum:
+    """The best local optimum over seeded restarts.
+
+    ``start(rng)`` draws a feasible state, or None when none exists,
+    which ends the search.  ``climb(state)`` yields the local optima
+    reached from it.  Optima compare by ``rank(value)``; one within
+    IMPROVE_TOL of the best replaces it only with a lexicographically
+    smaller witness.  At least one restart is required: with none,
+    nothing is searched, and an empty result would read as a vacuous
+    pass.
+    """
     if restarts < 1:
         raise InputError(f"search needs at least one restart, got restarts={restarts}")
-
-
-def _witness_key(x: tuple[int, ...], y: tuple[int, ...]) -> tuple:
-    return (x, y)
+    best = Maximum(-np.inf, None, None)
+    best_rank = -np.inf
+    moves = 0
+    for ridx in range(restarts):
+        state = start(np.random.default_rng([seed, ridx]))
+        if state is None:
+            break
+        for value, a_mask, b_mask, used in climb(state):
+            moves += used
+            a = tuple(np.flatnonzero(a_mask).tolist())
+            b = tuple(np.flatnonzero(b_mask).tolist())
+            score = rank(value)
+            if score > best_rank + IMPROVE_TOL or (
+                abs(score - best_rank) <= IMPROVE_TOL
+                and (best.a is None or (a, b) < (best.a, best.b))
+            ):
+                best, best_rank = Maximum(float(value), a, b), score
+    return Maximum(best.value, best.a, best.b, restarts=restarts, moves=moves)
 
 
 # -- subsets of two fixed sides ---------------------------------------------
@@ -67,51 +96,38 @@ def pair_witness_search(
     *,
     seed: int,
     restarts: int = 64,
-    max_moves: int | None = None,
-) -> SearchBest:
+) -> Maximum:
     """Maximize objective(T, wX, wY) over X x Y with mass floors.
 
     ``cross[u, v]`` is the pair weight between the u-th vertex of side A
     and the v-th vertex of side B; T is its sum over X x Y.
     """
-    check_restarts(restarts)
-    ka, kb = cross.shape
-    if max_moves is None:
-        max_moves = 12 * (ka + kb) + 24
-    best = SearchBest(-np.inf, None, None, restarts, 0)
-    best_key: tuple | None = None
-    total_moves = 0
-    for ridx in range(restarts):
-        rng = np.random.default_rng([seed, ridx])
+    max_moves = _move_budget(sum(cross.shape))
+
+    def start(rng):
         x = _random_feasible(rng, a_weights, a_floor)
         y = _random_feasible(rng, b_weights, b_floor)
-        if x is None or y is None:
-            break  # no feasible subset exists on one side
-        value, x, y, moves = _climb_pair(
-            cross, a_weights, b_weights, a_floor, b_floor, objective, x, y, max_moves
+        return None if x is None or y is None else (x, y)
+
+    def climb(state):
+        yield _climb_pair(
+            cross, a_weights, b_weights, a_floor, b_floor, objective, *state, max_moves
         )
-        total_moves += moves
-        key = _witness_key(tuple(np.flatnonzero(x)), tuple(np.flatnonzero(y)))
-        if value > best.value + IMPROVE_TOL or (
-            abs(value - best.value) <= IMPROVE_TOL and (best_key is None or key < best_key)
-        ):
-            best = SearchBest(float(value), key[0], key[1], restarts, total_moves)
-            best_key = key
-    best.moves = total_moves
-    return best
+
+    return best_of_restarts(seed, restarts, start, climb)
 
 
 def _random_feasible(
     rng: np.random.Generator, weights: np.ndarray, floor: float
 ) -> np.ndarray | None:
-    if weights.sum() < floor - FLOOR_TOL:
+    if weights.sum() < floor - FLOAT_TOL:
         return None
     member = rng.random(weights.shape[0]) < 0.5
-    if member.any() and weights[member].sum() >= floor - FLOOR_TOL:
+    if member.any() and weights[member].sum() >= floor - FLOAT_TOL:
         return member
     for u in rng.permutation(np.flatnonzero(~member)):
         member[u] = True
-        if weights[member].sum() >= floor - FLOOR_TOL:
+        if weights[member].sum() >= floor - FLOAT_TOL:
             return member
     return member if member.all() else None
 
@@ -140,7 +156,7 @@ def _climb_pair(
         wx_a = w_x + sign_a * wa
         with np.errstate(divide="ignore", invalid="ignore"):
             vals_a = objective(t_a, wx_a, np.asarray(w_y))
-        feasible_a = wx_a >= a_floor - FLOOR_TOL
+        feasible_a = wx_a >= a_floor - FLOAT_TOL
         vals_a = np.where(feasible_a, vals_a, -np.inf)
 
         sign_b = np.where(y, -1.0, 1.0)
@@ -148,7 +164,7 @@ def _climb_pair(
         wy_b = w_y + sign_b * wb
         with np.errstate(divide="ignore", invalid="ignore"):
             vals_b = objective(t_b, np.asarray(w_x), wy_b)
-        feasible_b = wy_b >= b_floor - FLOOR_TOL
+        feasible_b = wy_b >= b_floor - FLOAT_TOL
         vals_b = np.where(feasible_b, vals_b, -np.inf)
 
         ia = int(np.argmax(vals_a))
@@ -187,33 +203,19 @@ def disjoint_pair_search(
     *,
     seed: int,
     restarts: int = 64,
-    max_moves: int | None = None,
-) -> SearchBest:
+) -> Maximum:
     """Maximize objective(s_ab, mu_a, mu_b) over disjoint A, B with
     mu(A), mu(B) >= floor.  ``weights`` must be symmetric with zero
     diagonal; s_ab sums weights over cross pairs (each one once)."""
-    check_restarts(restarts)
-    n = mu.shape[0]
-    if max_moves is None:
-        max_moves = 12 * n + 24
-    best = SearchBest(-np.inf, None, None, restarts, 0)
-    best_key: tuple | None = None
-    total_moves = 0
-    for ridx in range(restarts):
-        rng = np.random.default_rng([seed, ridx])
-        role = _random_roles(rng, mu, floor)
-        if role is None:
-            break
+    max_moves = _move_budget(mu.shape[0])
+
+    def climb(role):
         value, role, moves = _climb_roles(weights, mu, floor, objective, role, max_moves)
-        total_moves += moves
-        key = _witness_key(tuple(np.flatnonzero(role == 1)), tuple(np.flatnonzero(role == 2)))
-        if value > best.value + IMPROVE_TOL or (
-            abs(value - best.value) <= IMPROVE_TOL and (best_key is None or key < best_key)
-        ):
-            best = SearchBest(float(value), key[0], key[1], restarts, total_moves)
-            best_key = key
-    best.moves = total_moves
-    return best
+        yield value, role == 1, role == 2, moves
+
+    return best_of_restarts(
+        seed, restarts, lambda rng: _random_roles(rng, mu, floor), climb
+    )
 
 
 def _random_roles(
@@ -223,15 +225,15 @@ def _random_roles(
     role = rng.integers(0, 3, n)
     for side in (1, 2):
         deficit = floor - mu[role == side].sum()
-        if deficit <= FLOOR_TOL:
+        if deficit <= FLOAT_TOL:
             continue
         for u in rng.permutation(np.flatnonzero(role == 0)):
             role[u] = side
-            if mu[role == side].sum() >= floor - FLOOR_TOL:
+            if mu[role == side].sum() >= floor - FLOAT_TOL:
                 break
-        if mu[role == side].sum() < floor - FLOOR_TOL:
+        if mu[role == side].sum() < floor - FLOAT_TOL:
             break
-    if mu[role == 1].sum() >= floor - FLOOR_TOL and mu[role == 2].sum() >= floor - FLOOR_TOL:
+    if mu[role == 1].sum() >= floor - FLOAT_TOL and mu[role == 2].sum() >= floor - FLOAT_TOL:
         return role
     # deterministic fallback: heaviest-first alternating split
     role = np.zeros(n, dtype=np.int64)
@@ -241,7 +243,7 @@ def _random_roles(
         side = 1 if side_mass[1] <= side_mass[2] else 2
         role[u] = side
         side_mass[side] += mu[u]
-    if side_mass[1] >= floor - FLOOR_TOL and side_mass[2] >= floor - FLOOR_TOL:
+    if side_mass[1] >= floor - FLOAT_TOL and side_mass[2] >= floor - FLOAT_TOL:
         return role
     return None
 
@@ -275,7 +277,7 @@ def _climb_roles(
         mb_new = np.where(in_b, mu_b - mu, mu_b)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals0 = objective(s_new, ma_new, mb_new)
-        vals0 = np.where(~in_a & (ma_new >= floor - FLOOR_TOL) & (mb_new >= floor - FLOOR_TOL),
+        vals0 = np.where(~in_a & (ma_new >= floor - FLOAT_TOL) & (mb_new >= floor - FLOAT_TOL),
                          vals0, neg_inf)
 
         # family 1: move u into B
@@ -284,7 +286,7 @@ def _climb_roles(
         ma_new = np.where(in_a, mu_a - mu, mu_a)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals1 = objective(s_new, ma_new, mb_new)
-        vals1 = np.where(~in_b & (ma_new >= floor - FLOOR_TOL) & (mb_new >= floor - FLOOR_TOL),
+        vals1 = np.where(~in_b & (ma_new >= floor - FLOAT_TOL) & (mb_new >= floor - FLOAT_TOL),
                          vals1, neg_inf)
 
         # family 2: move u outside
@@ -293,7 +295,7 @@ def _climb_roles(
         mb_new = np.where(in_b, mu_b - mu, mu_b)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals2 = objective(s_new, ma_new, mb_new)
-        vals2 = np.where(~outside & (ma_new >= floor - FLOOR_TOL) & (mb_new >= floor - FLOOR_TOL),
+        vals2 = np.where(~outside & (ma_new >= floor - FLOAT_TOL) & (mb_new >= floor - FLOAT_TOL),
                          vals2, neg_inf)
 
         picks = [(int(np.argmax(v)), v) for v in (vals0, vals1, vals2)]

@@ -58,10 +58,24 @@ class HeavyVertexWarning(UserWarning):
 
 
 def index_array(n: int, subset: Iterable[int], name: str = "subset") -> np.ndarray:
-    """Sorted, duplicate-free int64 index array for a vertex subset."""
-    arr = np.unique(np.asarray(list(subset), dtype=np.int64))
+    """Sorted, duplicate-free int64 index array for a vertex subset.
+
+    Entries must be integers (``True`` and ``1.0`` are rejected, not
+    cast); an integer beyond int64 is out of range like any other.
+    """
+    out_of_range = f"{name}: vertex indices must lie in [0, {n})"
+    if isinstance(subset, np.ndarray) and subset.dtype.kind in "iu":
+        arr = np.unique(subset.astype(np.int64))
+    else:
+        items = list(subset)
+        if not all(map(_is_index, items)):
+            raise InputError(f"{name}: vertex indices must be integers")
+        try:
+            arr = np.unique(np.array(items, dtype=np.int64))
+        except OverflowError:
+            raise InputError(out_of_range) from None
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise InputError(f"{name}: vertex indices must lie in [0, {n})")
+        raise InputError(out_of_range)
     return arr
 
 
@@ -163,7 +177,7 @@ def _check_pair_matrix(n: int, values: np.ndarray, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (n, n):
         raise InputError(f"{name}: expected shape ({n}, {n}), got {values.shape}")
-    if not np.allclose(values, values.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(values, values.T):
         raise InputError(f"{name}: matrix must be exactly symmetric")
     if np.any(np.diagonal(values) != 0.0):
         raise InputError(f"{name}: diagonal must be zero (no loops)")
@@ -176,8 +190,7 @@ class WeightedGraph:
 
     ``rho`` is the dense symmetric matrix of edge weights with zeros off
     the edge set; an entry is positive exactly when the pair is an edge.
-    Arrays are frozen after construction so a graph can be shared freely
-    across worker threads.
+    Arrays are frozen after construction.
     """
 
     n: int

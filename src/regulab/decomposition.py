@@ -35,7 +35,7 @@ from ._enumerate import (
     resolve_mode,
     ternary_assignment_sums,
 )
-from ._search import check_restarts
+from ._search import best_of_restarts
 from .core import (
     EdgeFunction,
     InputError,
@@ -46,6 +46,7 @@ from .core import (
 )
 
 BEST_BASIC_CAP_DEFAULT = 12
+ALTERNATING_ROUNDS = 64  # best-response rounds per alternating maximization
 RIDGE_CONDITION_LIMIT = 1e12
 RIDGE_FACTOR = 1e-10
 
@@ -147,18 +148,18 @@ def best_basic_exhaustive(
 
 
 def _alternating_fixpoint(
-    W: np.ndarray, b_start: np.ndarray, sign: float, max_rounds: int = 64
-) -> tuple[np.ndarray, np.ndarray, float]:
+    W: np.ndarray, b_start: np.ndarray, sign: float
+) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Alternate best-response A- and B-steps from a starting B side.
 
     Each half-step replaces one side by its exact best response, so the
     signed objective sign * sum_{A x B} W never decreases; asserted per
-    step.
+    step.  Returns A, B, the objective and the rounds taken.
     """
     b = b_start.copy()
     value = -np.inf
     a = np.zeros_like(b)
-    for _ in range(max_rounds):
+    for rounds in range(1, ALTERNATING_ROUNDS + 1):
         d = W @ b.astype(np.float64)
         a = (sign * d > 0.0) & ~b
         value_a = float(sign * d[a].sum())
@@ -169,12 +170,11 @@ def _alternating_fixpoint(
         b_new = (sign * e > 0.0) & ~a
         value_b = float(sign * e[b_new].sum())
         assert value_b >= value_a - 1e-9 * (1.0 + abs(value_a))
+        value = value_b
         if (b_new == b).all():
-            value = value_b
             break
         b = b_new
-        value = value_b
-    return a, b, value
+    return a, b, value, rounds
 
 
 def best_basic_search(
@@ -184,31 +184,19 @@ def best_basic_search(
     seed: int,
     restarts: int = 64,
 ) -> tuple[BasicFunction, float]:
-    """Alternating maximization from random starts, both signs."""
-    check_restarts(restarts)
+    """Alternating maximization of |<r, gamma_{A,B}>| from random B
+    sides, both signs per start (+1 first, so it wins a tie)."""
     W = r.values * G.rho
     n = G.n
     pairs = comb(n, 2)
-    best_abs = -1.0
-    best_corr = 0.0
-    best_key: tuple | None = None
-    best_ab: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-    for ridx in range(restarts):
-        rng = np.random.default_rng([seed, ridx])
-        b_start = rng.random(n) < 0.5
+
+    def climb(b_start):
         for sign in (1.0, -1.0):
-            a, b, value = _alternating_fixpoint(W, b_start, sign)
-            corr = sign * value / pairs
-            key = (tuple(np.flatnonzero(a)), tuple(np.flatnonzero(b)))
-            if abs(corr) > best_abs + 1e-15 or (
-                abs(abs(corr) - best_abs) <= 1e-15
-                and (best_key is None or key < best_key)
-            ):
-                best_abs = abs(corr)
-                best_corr = corr
-                best_key = key
-                best_ab = key
-    return BasicFunction(n, best_ab[0], best_ab[1]), best_corr
+            a, b, value, rounds = _alternating_fixpoint(W, b_start, sign)
+            yield sign * value / pairs, a, b, rounds
+
+    best = best_of_restarts(seed, restarts, lambda rng: rng.random(n) < 0.5, climb, abs)
+    return BasicFunction(n, best.a, best.b), best.value
 
 
 def _best_basic(

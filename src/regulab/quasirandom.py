@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enumerate import (
-    TERNARY_CAP_DEFAULT,
-    check_ternary_cap,
-    decode_assignment,
-    resolve_mode,
-    ternary_assignment_sums,
-)
+from ._enumerate import TERNARY_CAP_DEFAULT, check_ternary_cap, resolve_mode, ternary_argmax
 from ._search import disjoint_pair_search
-from .core import FLOAT_TOL, InputError, WeightedGraph, global_density
+from .core import InputError, WeightedGraph, global_density
 
 __all__ = [
     "ScaleWarning",
@@ -155,33 +149,20 @@ def check_quasirandom(
         with np.errstate(divide="ignore"):
             return np.maximum(d / g, g / d)
 
-    n_qualifying = None
-    pair = None
     if mode == "exhaustive":
         check_ternary_cap(G.n, cap)
-        mu_a, mu_b, s_ab = ternary_assignment_sums(G.rho, G.mu)
-        qualifying = (mu_a >= floor - FLOAT_TOL) & (mu_b >= floor - FLOAT_TOL)
-        n_qualifying = int(qualifying.sum())
-        if n_qualifying:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values = objective(s_ab, mu_a, mu_b)
-            values = np.where(qualifying, values, -np.inf)
-            code = int(np.argmax(values))
-            worst = float(values[code])
-            pair = decode_assignment(code, G.n)
+        best = ternary_argmax(G.rho, G.mu, floor, objective)
     else:
         best = disjoint_pair_search(
             G.rho, G.mu, floor, objective, seed=seed, restarts=restarts
         )
-        if best.x is not None:
-            worst = float(best.value)
-            pair = (tuple(int(v) for v in best.x), tuple(int(v) for v in best.y))
-    vacuous = pair is None
-    passed = vacuous or bool(worst < beta if kind == "beta" else worst <= D)
+    vacuous = best.a is None
+    passed = vacuous or bool(best.value < beta if kind == "beta" else best.value <= D)
     return QuasirandomVerdict(
         kind=kind, passed=passed, mode=mode,
         certified=mode == "exhaustive" or not passed,
         beta=beta, D=D, global_density=g,
-        worst_deviation=None if vacuous else worst, worst_pair=pair,
-        vacuous=vacuous, n_qualifying=n_qualifying,
+        worst_deviation=None if vacuous else best.value,
+        worst_pair=None if vacuous else (best.a, best.b),
+        vacuous=vacuous, n_qualifying=best.n_qualifying,
     )

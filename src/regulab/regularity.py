@@ -35,7 +35,6 @@ import numpy as np
 from ._enumerate import (
     SUBSET_PAIR_CAP_DEFAULT,
     check_subset_pair_cap,
-    decode_subset,
     resolve_mode,
     scan_subset_pairs,
 )
@@ -135,15 +134,9 @@ def pair_verdict(
         return _one_by_one_verdict(
             eps, base, int(ids_a[0]), int(ids_b[0]), form=form, threshold=threshold
         )
-    n_qualifying = None
     if mode == "exhaustive":
-        scan = scan_subset_pairs(
+        best = scan_subset_pairs(
             crosses, wa, wb, eps * wa.sum(), eps * wb.sum(), deviation
-        )
-        n_qualifying = scan.n_qualifying
-        worst = scan.best_value
-        witness = None if scan.vacuous else (
-            decode_subset(scan.best_a_index, ka), decode_subset(scan.best_b_index, kb)
         )
     else:
         (cross,) = crosses
@@ -152,14 +145,13 @@ def pair_verdict(
             lambda t, wx, wy: deviation([t], wx, wy),
             seed=seed, restarts=restarts,
         )
-        worst = best.value
-        witness = None if best.x is None else (best.x, best.y)
-    if witness is not None:
-        witness = (
-            tuple(int(ids_a[i]) for i in witness[0]),
-            tuple(int(ids_b[i]) for i in witness[1]),
-        )
-    return _finish_verdict(eps, mode, worst, witness, n_qualifying, base, form, threshold)
+    witness = None if best.a is None else (
+        tuple(int(ids_a[i]) for i in best.a),
+        tuple(int(ids_b[i]) for i in best.b),
+    )
+    return _finish_verdict(
+        eps, mode, best.value, witness, best.n_qualifying, base, form, threshold
+    )
 
 
 def _pair_mode(mode: str, ka: int, kb: int, cap: int) -> str:
@@ -532,10 +524,14 @@ def relative_regularity(
     for k, (i, j) in enumerate(g_edges):
         if not (0 <= i < a_size and 0 <= j < b_size):
             raise InputError(f"g_edges[{k}]: ({i}, {j}) outside sides {a_size}x{b_size}")
+        if g_mat[i, j]:
+            raise InputError(f"g_edges[{k}]: duplicate edge ({i}, {j})")
         g_mat[i, j] = 1.0
     for k, (i, j) in enumerate(f_edges):
         if not (0 <= i < a_size and 0 <= j < b_size and g_mat[i, j]):
             raise InputError(f"f_edges[{k}]: ({i}, {j}) is not an edge of G")
+        if f_mat[i, j]:
+            raise InputError(f"f_edges[{k}]: duplicate edge ({i}, {j})")
         f_mat[i, j] = 1.0
     total_g = g_mat.sum()
     if total_g == 0:

@@ -150,6 +150,14 @@ def test_integer_beyond_the_float_range_is_an_input_error(mu, weight, message, t
 # -- check-pair ---------------------------------------------------------------------
 
 
+def test_side_vertex_beyond_int64_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge-side.json"
+    path.write_text(json.dumps({"n": 3, "mu": [1, 1, 1], "edges": [[0, 1, 1]],
+                                "f_edges": [], "A": [10**30], "B": [1]}))
+    assert main(["check-pair", "--pair", str(path), "--eps", "0.3"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: A: vertex indices must lie in [0, 3)\n"
+
+
 def test_check_pair_star_hub_leaves(tmp_path, capsys):
     path = write_pair(
         tmp_path / "star.json", SubgraphPair.full(make_star(8)),

@@ -14,6 +14,7 @@ from regulab import (
     InputError,
     SubgraphPair,
     WeightedGraph,
+    check_pair,
     global_density,
     index_array,
     inner_product,
@@ -116,6 +117,34 @@ def test_index_array_sorts_dedups_and_checks_range():
         index_array(5, [-1])
 
 
+@pytest.mark.parametrize("side", [[0.9, 1.2], [True], [1, 2.0], np.array([0.0, 1.0])],
+                         ids=["floats", "bool", "integral float", "float array"])
+def test_index_array_rejects_entries_that_are_not_integers(side):
+    with pytest.raises(InputError, match=r"^A: vertex indices must be integers$"):
+        index_array(5, side, "A")
+
+
+@pytest.mark.parametrize("side", [[10**30], [-(10**30)], [2**63], np.array([2**63], np.uint64)])
+def test_index_array_treats_integers_beyond_int64_as_out_of_range(side):
+    with pytest.raises(InputError, match=r"^A: vertex indices must lie in \[0, 5\)$"):
+        index_array(5, side, "A")
+
+
+def test_index_array_keeps_numpy_integers():
+    assert index_array(5, np.array([4, 1, 4], np.uint8)).tolist() == [1, 4]
+    assert index_array(5, [np.int64(3), 0]).tolist() == [0, 3]
+
+
+def test_check_pair_rejects_sides_that_are_not_integers():
+    P = SubgraphPair.full(complete_graph(4))
+    with pytest.raises(InputError, match="A: vertex indices must be integers"):
+        check_pair(P, [0.9, 1.2], [2.5, 3], 0.3)
+    with pytest.raises(InputError, match="A: vertex indices must be integers"):
+        check_pair(P, [True], [2, 3], 0.3)
+    with pytest.raises(InputError, match="B: vertex indices must lie in"):
+        check_pair(P, [0, 1], [10**30], 0.3)
+
+
 # -- subgraph pairs --------------------------------------------------------
 
 
@@ -149,6 +178,13 @@ def test_edge_function_validation_and_arithmetic():
         EdgeFunction(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match="diagonal"):
         EdgeFunction(np.eye(2))
+    # symmetry is exact: NaN equals nothing, and one ulp is an asymmetry
+    with pytest.raises(InputError, match="exactly symmetric"):
+        EdgeFunction(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(InputError, match="exactly symmetric"):
+        EdgeFunction(np.array([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]]))
+    assert EdgeFunction(np.array([[0.0, -0.0], [0.0, 0.0]])).values[0, 1] == 0.0
+    assert EdgeFunction(np.array([[0.0, np.inf], [np.inf, 0.0]])).values[1, 0] == np.inf
     f = EdgeFunction.cross_indicator(4, [0, 1], [2, 3])
     g = EdgeFunction.zeros(4)
     assert ((f + g).values == f.values).all()

@@ -183,6 +183,12 @@ def test_integers_beyond_float_or_int64_are_input_errors(mutate, message):
         pair_from_dict(d)
 
 
+def test_side_vertex_beyond_int64_is_out_of_range():
+    d = {"n": 3, "mu": [1, 1, 1], "edges": [[0, 1, 1]], "f_edges": [], "A": [10**30], "B": [1]}
+    with pytest.raises(InputError, match=r"^A: vertex indices must lie in \[0, 3\)$"):
+        pair_from_dict(d)
+
+
 # -- error parity with the per-entry reference ----------------------------------
 
 

@@ -246,6 +246,16 @@ def test_relative_validation():
         relative_regularity(3, 3, [], [(5, 0)], 0.3)
 
 
+def test_relative_rejects_repeated_edges():
+    with pytest.raises(InputError, match=r"^g_edges\[1\]: duplicate edge \(0, 0\)$"):
+        relative_regularity(2, 2, [(0, 0), (0, 0)], [(0, 0), (0, 0), (1, 1)], 0.3)
+    with pytest.raises(InputError, match=r"^f_edges\[1\]: duplicate edge \(0, 0\)$"):
+        relative_regularity(2, 2, [(0, 0), (0, 0)], [(0, 0), (1, 1)], 0.3)
+    # the same repeat as the classical form rejects
+    with pytest.raises(InputError, match=r"^f_edges\[1\]: duplicate edge \(0, 0\)$"):
+        classical_epsilon_regular(2, 2, [(0, 0), (0, 0)], 0.3)
+
+
 # -- partitions ---------------------------------------------------------------------
 
 
