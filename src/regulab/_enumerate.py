@@ -35,7 +35,8 @@ class Maximum:
     ``a`` and ``b`` are the witness sides as sorted position tuples,
     None when nothing qualified.  The work counters are
     ``n_qualifying`` (states enumerated that clear the floors; None for
-    a search) and ``restarts`` and ``moves`` (zero for an enumeration).
+    a search) and the ``restarts`` run and climb ``moves`` (zero for an
+    enumeration).
     """
 
     value: float

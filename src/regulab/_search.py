@@ -59,17 +59,19 @@ def best_of_restarts(
     IMPROVE_TOL of the best replaces it only with a lexicographically
     smaller witness.  At least one restart is required: with none,
     nothing is searched, and an empty result would read as a vacuous
-    pass.
+    pass.  The record counts the restarts that ran.
     """
     if restarts < 1:
         raise InputError(f"search needs at least one restart, got restarts={restarts}")
     best = Maximum(-np.inf, None, None)
     best_rank = -np.inf
     moves = 0
-    for ridx in range(restarts):
-        state = start(np.random.default_rng([seed, ridx]))
+    run = 0
+    while run < restarts:
+        state = start(np.random.default_rng([seed, run]))
         if state is None:
             break
+        run += 1
         for value, a_mask, b_mask, used in climb(state):
             moves += used
             a = tuple(np.flatnonzero(a_mask).tolist())
@@ -80,7 +82,7 @@ def best_of_restarts(
                 and (best.a is None or (a, b) < (best.a, best.b))
             ):
                 best, best_rank = Maximum(float(value), a, b), score
-    return Maximum(best.value, best.a, best.b, restarts=restarts, moves=moves)
+    return Maximum(best.value, best.a, best.b, restarts=run, moves=moves)
 
 
 # -- subsets of two fixed sides ---------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from typing import Sequence
 
@@ -113,7 +112,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         payload = io.graph_to_dict(G)
         payload.update(extra)
-        sys.stdout.write(json.dumps(io.json_safe(payload), indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(io.json_text(payload) + "\n")
     return EXIT_OK
 
 
@@ -266,7 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low", type=float, default=0.1, help="uniform model lower bound")
     p.add_argument("--high", type=float, default=0.9, help="uniform model upper bound")
     p.add_argument("--seed", type=int, default=0)
-    _add_output_options(p)
+    p.add_argument("-o", "--output", help="write the graph file here instead of stdout")
+    p.add_argument(
+        "--no-timestamp", action="store_true",
+        help="no effect: graph files carry no timestamp and are always byte-stable",
+    )
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check-qr", help="quasirandomness of a weighted graph")

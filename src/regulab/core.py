@@ -155,22 +155,38 @@ def _raise_first_failure(checks: list[_Check]) -> None:
 
 
 def _endpoint_checks(
-    n: int, u: Sequence[int] | np.ndarray, v: Sequence[int] | np.ndarray, name: str, range_note: str
+    u: Sequence[int] | np.ndarray,
+    v: Sequence[int] | np.ndarray,
+    name: str,
+    in_range: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    outside: Callable[[int], str],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[_Check]]:
     """Endpoint arrays of an edge list, its in-range mask, and its
-    integer, range and duplicate checks, in that order."""
+    integer, range and duplicate checks, in that order.
+
+    ``in_range(iu, iv)`` masks the entries whose int64 endpoints are
+    valid (entries that are not integers read as -1), and ``outside(k)``
+    is the message for entry k when they are not.  An entry repeats
+    when an earlier valid entry has the same endpoints.
+    """
     iu, u_int = _index_column(u)
     iv, v_int = _index_column(v)
-    in_range = (0 <= iu) & (iu < iv) & (iv < n)
-    _, first = np.unique(np.where(in_range, iu * n + iv, -1), return_index=True)
+    valid = in_range(iu, iv)
+    stride = int(iv[valid].max()) + 1 if valid.any() else 1
+    _, first = np.unique(np.where(valid, iu * stride + iv, -1), return_index=True)
     fresh = np.zeros(len(iu), dtype=bool)
     fresh[first] = True
     checks = [
         (u_int & v_int, lambda k: f"{name}[{k}]: endpoints must be integers"),
-        (in_range, lambda k: f"{name}[{k}]: need 0 <= u < v < n, got ({u[k]}, {v[k]}){range_note}"),
+        (valid, outside),
         (fresh, lambda k: f"{name}[{k}]: duplicate edge ({u[k]}, {v[k]})"),
     ]
-    return iu, iv, in_range, checks
+    return iu, iv, valid, checks
+
+
+def _below_and_ordered(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The endpoint test of a graph's edges: 0 <= u < v < n."""
+    return lambda iu, iv: (0 <= iu) & (iu < iv) & (iv < n)
 
 
 def _check_pair_matrix(n: int, values: np.ndarray, name: str) -> np.ndarray:
@@ -250,7 +266,9 @@ class WeightedGraph:
         finite positive weights.  The first failing edge is cited, with
         its first failed check in that order.
         """
-        iu, iv, _, checks = _endpoint_checks(n, u, v, "edges", f" with n={n}")
+        iu, iv, _, checks = _endpoint_checks(
+            u, v, "edges", _below_and_ordered(n),
+            lambda k: f"edges[{k}]: need 0 <= u < v < n, got ({u[k]}, {v[k]}) with n={n}")
         weights = _weight_column(w)
         checks.append((np.isfinite(weights) & (weights > 0.0), lambda k: (
             f"edges[{k}]: edge weight must be finite and positive, got {float(weights[k])}")))
@@ -332,7 +350,9 @@ class SubgraphPair:
         must be host edges.  The first failing edge is cited, with its
         first failed check in that order.
         """
-        iu, iv, in_range, checks = _endpoint_checks(graph.n, u, v, "f_edges", "")
+        iu, iv, in_range, checks = _endpoint_checks(
+            u, v, "f_edges", _below_and_ordered(graph.n),
+            lambda k: f"f_edges[{k}]: need 0 <= u < v < n, got ({u[k]}, {v[k]})")
         host = np.ones(len(iu), dtype=bool)
         host[in_range] = graph.rho[iu[in_range], iv[in_range]] != 0.0
         checks.append((host, lambda k: f"f_edges[{k}]: ({u[k]}, {v[k]}) is not an edge of the host graph"))

@@ -19,6 +19,13 @@ extra metadata (for example part labels).
 Valid files are checked and converted a whole column at a time.  Only a
 file that fails a bulk shape or type check is walked entry by entry, to
 name the offender; the later checks find theirs with array masks.
+
+Every file and report is written in one layout, a stable contract:
+the text of ``json.dumps(json_safe(obj), indent=2, sort_keys=True)``
+and a trailing newline.  That is two-space indentation, sorted keys,
+non-ASCII characters escaped, numpy values and tuples as plain numbers
+and lists, keys as strings, and non-finite numbers as the strings
+``"nan"``, ``"inf"`` and ``"-inf"``.  ``json_text`` produces it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Any
@@ -49,6 +57,7 @@ __all__ = [
     "partition_from_dict",
     "load_partition",
     "json_safe",
+    "json_text",
     "dump_report",
 ]
 
@@ -153,7 +162,7 @@ def save_graph(G: WeightedGraph, path: str | Path, extra: dict[str, Any] | None 
         for key in extra:
             _require(key not in payload, f"extra metadata key {key!r} collides with graph schema")
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(payload) + "\n")
 
 
 def load_graph(path: str | Path) -> WeightedGraph:
@@ -248,7 +257,14 @@ def load_partition(path: str | Path, n: int) -> tuple[list[int], list[list[int]]
     return partition_from_dict(_read_json(path), n)
 
 
-# -- reports -------------------------------------------------------------
+# -- the written layout --------------------------------------------------
+
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+# Flat containers go to the C encoder whole.  "\x00" cannot occur in
+# encoded JSON (strings escape it), so as the item separator it marks
+# exactly the places the indentation goes.  A NaN or infinity raises
+# ValueError, and that container takes the converting path instead.
+_FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ": "), allow_nan=False)
 
 
 def json_safe(obj: Any) -> Any:
@@ -276,9 +292,93 @@ def json_safe(obj: Any) -> Any:
     return obj
 
 
+def json_text(obj: Any) -> str:
+    """``json.dumps(json_safe(obj), indent=2, sort_keys=True)``, byte for byte.
+
+    This is the layout of every file and report regulab writes.  Each
+    flat container (plain scalars under ``str`` keys) and each list of
+    flat rows is encoded in one call of the C encoder.  The few levels
+    above them, and any container holding numpy values, non-``str``
+    keys or non-finite floats, are walked here with ``json_safe``'s
+    conversions, so no converted copy of ``obj`` is built.
+    """
+    out: list[str] = []
+    _write(obj, 0, out)
+    return "".join(out)
+
+
+def _write(obj: Any, level: int, out: list[str]) -> None:
+    """Append the layout of ``json_safe(obj)`` nested ``level`` deep."""
+    if type(obj) in (dict, list, tuple):
+        text = _flat_text(obj, level)
+        if text is not None:
+            out.append(text)
+            return
+    if isinstance(obj, dict):
+        entries = [(_FLAT_ENCODER.encode(key) + ": ", value)
+                   for key, value in sorted({str(k): v for k, v in obj.items()}.items())]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        entries = [("", value) for value in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
+        opening, closing = "[", "]"
+    else:
+        out.append(json.dumps(json_safe(obj)))
+        return
+    if not entries:
+        out.append(opening + closing)
+        return
+    indent = "\n" + "  " * (level + 1)
+    separator = opening + indent
+    for key, value in entries:
+        out.append(separator + key)
+        _write(value, level + 1, out)
+        separator = "," + indent
+    out.append("\n" + "  " * level + closing)
+
+
+def _flat_text(obj: dict | list | tuple, level: int) -> str | None:
+    """The layout of a nonempty flat container, or of a nonempty list of
+    nonempty flat rows of one bracket kind, nested ``level`` deep; None
+    for anything else or when a value is not finite."""
+    if not obj:
+        return None
+    rows = False
+    if type(obj) is dict:
+        keys, values = obj.keys(), obj.values()
+    else:
+        kinds = _types(obj)
+        if kinds <= _PLAIN:
+            keys, values = (), obj
+        elif kinds == {dict} and all(obj):
+            keys, values, rows = chain.from_iterable(obj), chain.from_iterable(map(dict.values, obj)), True
+        elif kinds <= {list, tuple} and all(obj):
+            keys, values, rows = (), chain.from_iterable(obj), True
+        else:
+            return None
+    if not (_types(keys) <= {str} and _types(values) <= _PLAIN):
+        return None
+    try:
+        text = _FLAT_ENCODER.encode(obj)
+    except ValueError:
+        return None
+    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if not rows:
+        return text[0] + inner + text[1:-1].replace("\x00", "," + inner) + outer + text[-1]
+    # Inside a flat row "\x00" never stands between a closing and an
+    # opening bracket, so the row boundaries are replaced first.
+    innermost = inner + "  "
+    opening, closing = text[1], text[-2]
+    body = text[2:-2].replace(closing + "\x00" + opening, inner + closing + "," + inner + opening + innermost)
+    return ("[" + inner + opening + innermost + body.replace("\x00", "," + innermost)
+            + inner + closing + outer + "]")
+
+
+# -- reports -------------------------------------------------------------
+
+
 def dump_report(report: dict[str, Any], *, timestamp: bool = True) -> str:
     payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(json_safe(report))
+    payload.update(report)
     if timestamp:
         payload["generated_at"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload) + "\n"

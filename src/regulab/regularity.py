@@ -44,6 +44,9 @@ from .core import (
     InputError,
     SubgraphPair,
     WeightedGraph,
+    _columns,
+    _endpoint_checks,
+    _raise_first_failure,
     index_array,
     pair_sides,
 )
@@ -467,6 +470,40 @@ def check_partition(
 # -- classical and relative forms -----------------------------------------
 
 
+def _cross_matrix(
+    a_size: int,
+    b_size: int,
+    edges: Iterable[tuple[int, int]],
+    name: str,
+    host: np.ndarray | None = None,
+) -> np.ndarray:
+    """The 0/1 matrix of local (A index, B index) edges.
+
+    Every entry needs integer endpoints inside the sides (and, given a
+    ``host`` matrix, on one of its edges) and must not repeat an earlier
+    entry.  The first failing entry is cited, with its first failed
+    check in that order.
+    """
+    i, j = _columns(edges, 2, name)
+
+    def in_range(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        valid = (0 <= ii) & (ii < a_size) & (0 <= jj) & (jj < b_size)
+        if host is not None:
+            valid[valid] = host[ii[valid], jj[valid]] != 0.0
+        return valid
+
+    def outside(k: int) -> str:
+        if host is None:
+            return f"{name}[{k}]: ({i[k]}, {j[k]}) outside sides {a_size}x{b_size}"
+        return f"{name}[{k}]: ({i[k]}, {j[k]}) is not an edge of G"
+
+    ii, jj, _, checks = _endpoint_checks(i, j, name, in_range, outside)
+    _raise_first_failure(checks)
+    matrix = np.zeros((a_size, b_size))
+    matrix[ii, jj] = 1.0
+    return matrix
+
+
 def classical_epsilon_regular(
     a_size: int,
     b_size: int,
@@ -488,13 +525,7 @@ def classical_epsilon_regular(
     """
     if a_size < 1 or b_size < 1:
         raise InputError("both sides need at least one vertex")
-    f_mat = np.zeros((a_size, b_size))
-    for k, (i, j) in enumerate(f_edges):
-        if not (0 <= i < a_size and 0 <= j < b_size):
-            raise InputError(f"f_edges[{k}]: ({i}, {j}) outside sides {a_size}x{b_size}")
-        if f_mat[i, j]:
-            raise InputError(f"f_edges[{k}]: duplicate edge ({i}, {j})")
-        f_mat[i, j] = 1.0
+    f_mat = _cross_matrix(a_size, b_size, f_edges, "f_edges")
     _check_epsilon(eps)
     return _density_verdict(
         f_mat, np.ones(a_size), np.ones(b_size), eps,
@@ -519,20 +550,8 @@ def relative_regularity(
     |B'| >= eps |B|.
     """
     _check_epsilon(eps)
-    f_mat = np.zeros((a_size, b_size))
-    g_mat = np.zeros((a_size, b_size))
-    for k, (i, j) in enumerate(g_edges):
-        if not (0 <= i < a_size and 0 <= j < b_size):
-            raise InputError(f"g_edges[{k}]: ({i}, {j}) outside sides {a_size}x{b_size}")
-        if g_mat[i, j]:
-            raise InputError(f"g_edges[{k}]: duplicate edge ({i}, {j})")
-        g_mat[i, j] = 1.0
-    for k, (i, j) in enumerate(f_edges):
-        if not (0 <= i < a_size and 0 <= j < b_size and g_mat[i, j]):
-            raise InputError(f"f_edges[{k}]: ({i}, {j}) is not an edge of G")
-        if f_mat[i, j]:
-            raise InputError(f"f_edges[{k}]: duplicate edge ({i}, {j})")
-        f_mat[i, j] = 1.0
+    g_mat = _cross_matrix(a_size, b_size, g_edges, "g_edges")
+    f_mat = _cross_matrix(a_size, b_size, f_edges, "f_edges", host=g_mat)
     total_g = g_mat.sum()
     if total_g == 0:
         raise InputError("relative regularity needs at least one G-edge between the sides")

@@ -2,6 +2,7 @@
 reports, file round trips, and the CSV pair-table export."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,17 @@ def test_gen_counterexample_records_the_parts(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["model"]["kind"] == "counterexample"
     assert payload["model"]["parts"]["A1"] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("model", [
+    ["constant", "--p", "0.5"], ["uniform"], ["star"], ["counterexample"],
+])
+def test_gen_writes_the_same_bytes_to_a_file_and_to_stdout(model, tmp_path, capsysbinary):
+    argv = ["gen", "--model", *model, "--n", "16", "--seed", "2"]
+    out = tmp_path / "g.json"
+    assert main(argv + ["-o", str(out)]) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_gen_constant_requires_p(capsys):
@@ -360,3 +372,20 @@ def test_no_timestamp_output_is_byte_stable(tmp_path):
         main(["check-qr", "--graph", str(k8), "--beta", "0.3",
               "--no-timestamp", "-o", str(f)])
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_verify_report_bytes_are_pinned(k8_pair, tmp_path, monkeypatch, capsysbinary):
+    # the report layout is a stable contract (README, "File formats"); the
+    # files are named relative to the working directory, since the report
+    # records their names
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "part.json").write_text(json.dumps({"clusters": [[], [0, 1], [2, 3], [4, 5], [6, 7]]}))
+    assert main([
+        "verify", "--pair", "half.json", "--partition", "part.json", "--eps", "0.3",
+        "--no-timestamp",
+    ]) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    assert out.startswith(b'{\n  "command": "verify",\n') and out.endswith(b"\n}\n")
+    assert hashlib.sha256(out).hexdigest() == (
+        "39d381cee3e3f4af35b09772e6ef7b3087aa69a0b87b8a771546eab45d072447"
+    )

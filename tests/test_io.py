@@ -2,7 +2,9 @@
 errors, report payload hygiene."""
 
 import copy
+import hashlib
 import json
+import math
 import random
 import warnings
 
@@ -26,7 +28,7 @@ from regulab import (
     save_graph,
 )
 from regulab.core import HeavyVertexWarning
-from regulab.io import SCHEMA_VERSION, json_safe
+from regulab.io import SCHEMA_VERSION, json_safe, json_text
 
 import _oracles
 from _helpers import random_graph, random_subpair
@@ -418,3 +420,80 @@ def test_dump_report_schema_and_timestamp_control():
     text_b = dump_report(report, timestamp=False)
     assert text_a == text_b  # byte-stable without the timestamp
     assert "generated_at" not in json.loads(text_a)
+
+
+# -- the written layout ----------------------------------------------------------
+
+# strings that look like the layout's own punctuation, or need escaping
+_AWKWARD = ["", "]", "},{", ",", "\x00", "]\x00[", "}\x00{", "a\nb", '"', "\\", "é ü 漢 😀", " : "]
+
+
+def _scalar(rng):
+    return rng.choice([
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12),
+        lambda: rng.choice([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-320, 5e-324]),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice(_AWKWARD),
+        lambda: np.int64(rng.randint(-99, 99)),
+        lambda: np.int32(rng.randint(-99, 99)),
+        lambda: np.float64(rng.choice([0.1, -0.0, math.nan, -math.inf])),
+        lambda: np.float32(0.1),
+        lambda: np.bool_(rng.random() < 0.5),
+        lambda: np.arange(rng.randrange(4)) / 3.0,
+        lambda: np.array([[1, 2], [3, 4]], dtype=np.int64),
+    ])()
+
+
+def _key(rng):
+    return rng.choice([rng.choice(_AWKWARD), f"k{rng.randrange(4)}", rng.randint(-2, 2), 1.5,
+                       True, None, np.int64(3)])
+
+
+def _payload(rng, depth=0):
+    """A random nested payload; rows of one kind are common, as in reports."""
+    if depth >= 4 or rng.random() < 0.25:
+        return _scalar(rng)
+    size = rng.choice([0, 1, 2, 3, 6])
+    kind = rng.randrange(5)
+    if kind == 0:
+        return {_key(rng): _payload(rng, depth + 1) for _ in range(size)}
+    if kind == 1:
+        items = [_payload(rng, depth + 1) for _ in range(size)]
+        return tuple(items) if rng.random() < 0.3 else items
+    if kind == 2:  # flat dict rows, now and then an odd value or an empty row
+        keys = ["i", "j", "passed", "value", rng.choice(_AWKWARD)]
+        return [{k: rng.random() if rng.random() < 0.9 else _scalar(rng)
+                 for k in keys[:rng.choice([0, 3, 5, 5])]} for _ in range(size)]
+    if kind == 3:  # flat [u, v, rho] rows, as lists or tuples
+        rows = [[rng.randrange(9), rng.randrange(9), rng.random() if rng.random() < 0.9 else _scalar(rng)]
+                [:rng.choice([0, 3, 3, 3])] for _ in range(size)]
+        return [tuple(r) if rng.random() < 0.2 else r for r in rows]
+    return [_scalar(rng) for _ in range(size)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_json_text_is_the_indented_stdlib_text_of_json_safe(seed):
+    rng = random.Random(seed)
+    for _ in range(250):
+        payload = _payload(rng)
+        assert json_text(payload) == json.dumps(json_safe(payload), indent=2, sort_keys=True)
+
+
+def test_json_text_rejects_what_json_safe_leaves_unencodable():
+    for payload in ({"x": [1.0, object()]}, [{"a": 1j}]):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(json_safe(payload), indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json_text(payload)
+
+
+def test_save_graph_bytes_are_pinned(tmp_path):
+    # the file layout is a stable contract (README, "File formats")
+    path = tmp_path / "g.json"
+    save_graph(random_graph(203, 0, 9, p=0.6), path, extra={"model": {"kind": "test", "seed": 0}})
+    text = path.read_text()
+    assert text.startswith('{\n  "edges": [\n    [\n      0,\n') and text.endswith("\n}\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6ea362670d9522824f282988502b23f50b4b796ecf7bacb83b8ff937768a2b71"
+    )

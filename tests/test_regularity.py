@@ -216,6 +216,33 @@ def test_classical_rejects_out_of_range_edges():
         classical_epsilon_regular(3, 3, [(3, 0)], 0.3)
 
 
+@pytest.mark.parametrize("entry", [(0.0, 1), (True, 1), (0, 1.0), (np.float64(0.0), 1), ("0", 1)])
+def test_local_pairs_must_be_integers(entry):
+    with pytest.raises(InputError, match=r"^f_edges\[1\]: endpoints must be integers$"):
+        classical_epsilon_regular(2, 2, [(0, 0), entry], 0.3)
+    with pytest.raises(InputError, match=r"^f_edges\[1\]: endpoints must be integers$"):
+        relative_regularity(2, 2, [(0, 0), entry], [(0, 0), (0, 1)], 0.3)
+    with pytest.raises(InputError, match=r"^g_edges\[1\]: endpoints must be integers$"):
+        relative_regularity(2, 2, [(0, 0)], [(0, 0), entry], 0.3)
+
+
+def test_local_pairs_name_the_first_failing_entry():
+    # an earlier entry's failure wins over a later one's, whatever the checks
+    with pytest.raises(InputError, match=r"^f_edges\[0\]: \(2, 0\) outside sides 2x2$"):
+        classical_epsilon_regular(2, 2, [(2, 0), (0.0, 1)], 0.3)
+    with pytest.raises(InputError, match=r"^f_edges\[1\]: \(-1, 0\) outside sides 2x2$"):
+        classical_epsilon_regular(2, 2, [(0, 0), (-1, 0)], 0.3)
+    with pytest.raises(InputError, match=r"^g_edges\[1\]: \(1, -1\) outside sides 2x2$"):
+        relative_regularity(2, 2, [], [(0, 0), (1, -1)], 0.3)
+    with pytest.raises(InputError, match=r"^f_edges\[1\]: expected 2 values$"):
+        classical_epsilon_regular(2, 2, [(0, 0), (0, 1, 1)], 0.3)
+    with pytest.raises(InputError, match=r"^f_edges\[1\]: \(1, 1\) is not an edge of G$"):
+        relative_regularity(2, 2, [(0, 0), (1, 1), (0, 0)], [(0, 0)], 0.3)
+    # numpy integers are integers
+    edges = [(np.int64(0), np.int64(1)), (1, 0)]
+    assert classical_epsilon_regular(2, 2, edges, 0.3) == classical_epsilon_regular(2, 2, [(0, 1), (1, 0)], 0.3)
+
+
 # -- relative form -----------------------------------------------------------------
 
 

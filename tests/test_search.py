@@ -125,3 +125,18 @@ def test_all_ties_go_to_the_smallest_witness():
     ]
     # more restarts can only move the witness down in lexicographic order
     assert pair[0][1] < pair[1][1] and disjoint[0][1] < disjoint[1][1]
+
+
+def test_restarts_count_only_the_restarts_run():
+    # no two disjoint sets of K_5 both reach 0.6 mu(V), and no subset of a
+    # side reaches more than its mass: the first restart has no feasible
+    # start, so the search stops having run none
+    K = complete_graph(5)
+    deviation = lambda t, wx, wy: np.abs(t / (wx * wy) - 1.0)
+    found = [
+        disjoint_pair_search(K.rho, K.mu, 0.6 * K.mu_total, deviation, seed=0, restarts=64),
+        pair_witness_search(K.rho[:2, 2:], K.mu[:2], K.mu[2:], 2.5, 1.0, deviation,
+                            seed=0, restarts=64),
+    ]
+    for best in found:
+        assert (best.value, best.a, best.b, best.restarts, best.moves) == (-np.inf, None, None, 0, 0)
