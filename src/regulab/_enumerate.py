@@ -12,6 +12,10 @@ Assignment and subset indices are encoded most-significant-digit-first
 in vertex order, so ascending index order is lexicographic order on
 membership vectors and ``argmax`` tie-breaks resolve to the
 lexicographically smallest witness.
+
+Every maximizer here and in ``_search`` decides its mass floors through
+``lowest_mass``: floors are inclusive, the slack is FLOAT_TOL times the
+total the floor is a share of, and an empty side never qualifies.
 """
 
 from __future__ import annotations
@@ -45,6 +49,16 @@ class Maximum:
     n_qualifying: int | None = None
     restarts: int = 0
     moves: int = 0
+
+
+def lowest_mass(floor: float, total: float) -> float:
+    """The least mass that clears ``floor``, a share of mass ``total``.
+
+    The rounding slack FLOAT_TOL * total scales with the masses, so a
+    verdict does not depend on the unit of mass.  The floor / 2 bound
+    keeps an empty side (and with it a 0/0 objective) out at every scale.
+    """
+    return max(floor - FLOAT_TOL * total, floor / 2)
 
 
 def resolve_mode(mode: str, size: int, cap: int) -> str:
@@ -115,9 +129,10 @@ def ternary_argmax(
     objective: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> Maximum:
     """Maximize objective(s_ab, mu_a, mu_b) over disjoint (A, B) with
-    mu(A), mu(B) >= floor (within FLOAT_TOL), by enumeration."""
+    mu(A), mu(B) >= floor (see ``lowest_mass``), by enumeration."""
+    lo = lowest_mass(floor, mu.sum())
     mu_a, mu_b, s_ab = ternary_assignment_sums(weights, mu)
-    qualifying = (mu_a >= floor - FLOAT_TOL) & (mu_b >= floor - FLOAT_TOL)
+    qualifying = (mu_a >= lo) & (mu_b >= lo)
     n_qualifying = int(qualifying.sum())
     if not n_qualifying:
         return Maximum(-np.inf, None, None, 0)
@@ -174,19 +189,17 @@ def scan_subset_pairs(
     ``crosses`` are (|A|, |B|) matrices; for each the scanner forms the
     table of sums over X x Y.  ``value_fn(tables, wx, wy)`` receives one
     table block per cross plus the matching subset-mass column/row and
-    returns the deviation block.  Qualifying means subset mass >= floor
-    (within FLOAT_TOL) and nonempty.  The maximizer is the first in
-    (X, Y)-lexicographic order, scanned blockwise; no witness is
-    reported when no qualifying value exceeds -inf.
+    returns the deviation block.  Qualifying means subset mass >= floor,
+    a share of the side's mass (see ``lowest_mass``).  The maximizer is
+    the first in (X, Y)-lexicographic order, scanned blockwise; no
+    witness is reported when no qualifying value exceeds -inf.
     """
     ka = int(a_weights.shape[0])
     kb = int(b_weights.shape[0])
     wa = subset_sums(a_weights)
     wb = subset_sums(b_weights)
-    qa = wa >= a_floor - FLOAT_TOL
-    qb = wb >= b_floor - FLOAT_TOL
-    qa[0] = False
-    qb[0] = False
+    qa = wa >= lowest_mass(a_floor, a_weights.sum())
+    qb = wb >= lowest_mass(b_floor, b_weights.sum())
     n_qualifying = int(qa.sum()) * int(qb.sum())
     if n_qualifying == 0:
         return Maximum(-np.inf, None, None, 0)

@@ -18,6 +18,10 @@ start and climb:
 
 The two climbs here evaluate every single-vertex move incrementally and
 apply the best strictly improving one (lowest move index on ties).
+Each search turns its mass floors into least masses once, through
+``_enumerate.lowest_mass``, so starts and moves judge floors as the
+enumerations do: inclusive, with a rounding slack proportional to the
+total the floor is a share of, and never met by an empty side.
 Every search returns one ``Maximum`` record, as enumeration does.  A
 found violation is a certificate; exhausting the budget without one is
 not.
@@ -29,8 +33,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._enumerate import Maximum
-from .core import FLOAT_TOL, InputError
+from ._enumerate import Maximum, lowest_mass
+from .core import InputError
 
 IMPROVE_TOL = 1e-15
 
@@ -105,31 +109,34 @@ def pair_witness_search(
     and the v-th vertex of side B; T is its sum over X x Y.
     """
     max_moves = _move_budget(sum(cross.shape))
+    a_lo = lowest_mass(a_floor, a_weights.sum())
+    b_lo = lowest_mass(b_floor, b_weights.sum())
 
     def start(rng):
-        x = _random_feasible(rng, a_weights, a_floor)
-        y = _random_feasible(rng, b_weights, b_floor)
+        x = _random_feasible(rng, a_weights, a_lo)
+        y = _random_feasible(rng, b_weights, b_lo)
         return None if x is None or y is None else (x, y)
 
     def climb(state):
         yield _climb_pair(
-            cross, a_weights, b_weights, a_floor, b_floor, objective, *state, max_moves
+            cross, a_weights, b_weights, a_lo, b_lo, objective, *state, max_moves
         )
 
     return best_of_restarts(seed, restarts, start, climb)
 
 
 def _random_feasible(
-    rng: np.random.Generator, weights: np.ndarray, floor: float
+    rng: np.random.Generator, weights: np.ndarray, lo: float
 ) -> np.ndarray | None:
-    if weights.sum() < floor - FLOAT_TOL:
+    """A random subset of mass >= lo, or None when the whole set is lighter."""
+    if weights.sum() < lo:
         return None
     member = rng.random(weights.shape[0]) < 0.5
-    if member.any() and weights[member].sum() >= floor - FLOAT_TOL:
+    if weights[member].sum() >= lo:
         return member
     for u in rng.permutation(np.flatnonzero(~member)):
         member[u] = True
-        if weights[member].sum() >= floor - FLOAT_TOL:
+        if weights[member].sum() >= lo:
             return member
     return member if member.all() else None
 
@@ -138,8 +145,8 @@ def _climb_pair(
     cross: np.ndarray,
     wa: np.ndarray,
     wb: np.ndarray,
-    a_floor: float,
-    b_floor: float,
+    a_lo: float,
+    b_lo: float,
     objective: Objective,
     x: np.ndarray,
     y: np.ndarray,
@@ -158,16 +165,14 @@ def _climb_pair(
         wx_a = w_x + sign_a * wa
         with np.errstate(divide="ignore", invalid="ignore"):
             vals_a = objective(t_a, wx_a, np.asarray(w_y))
-        feasible_a = wx_a >= a_floor - FLOAT_TOL
-        vals_a = np.where(feasible_a, vals_a, -np.inf)
+        vals_a = np.where(wx_a >= a_lo, vals_a, -np.inf)
 
         sign_b = np.where(y, -1.0, 1.0)
         t_b = t + sign_b * col_to_x
         wy_b = w_y + sign_b * wb
         with np.errstate(divide="ignore", invalid="ignore"):
             vals_b = objective(t_b, np.asarray(w_x), wy_b)
-        feasible_b = wy_b >= b_floor - FLOAT_TOL
-        vals_b = np.where(feasible_b, vals_b, -np.inf)
+        vals_b = np.where(wy_b >= b_lo, vals_b, -np.inf)
 
         ia = int(np.argmax(vals_a))
         ib = int(np.argmax(vals_b))
@@ -210,32 +215,33 @@ def disjoint_pair_search(
     mu(A), mu(B) >= floor.  ``weights`` must be symmetric with zero
     diagonal; s_ab sums weights over cross pairs (each one once)."""
     max_moves = _move_budget(mu.shape[0])
+    lo = lowest_mass(floor, mu.sum())
 
     def climb(role):
-        value, role, moves = _climb_roles(weights, mu, floor, objective, role, max_moves)
+        value, role, moves = _climb_roles(weights, mu, lo, objective, role, max_moves)
         yield value, role == 1, role == 2, moves
 
     return best_of_restarts(
-        seed, restarts, lambda rng: _random_roles(rng, mu, floor), climb
+        seed, restarts, lambda rng: _random_roles(rng, mu, lo), climb
     )
 
 
 def _random_roles(
-    rng: np.random.Generator, mu: np.ndarray, floor: float
+    rng: np.random.Generator, mu: np.ndarray, lo: float
 ) -> np.ndarray | None:
+    """Random disjoint sides of mass >= lo each, or None when none exist."""
     n = mu.shape[0]
     role = rng.integers(0, 3, n)
     for side in (1, 2):
-        deficit = floor - mu[role == side].sum()
-        if deficit <= FLOAT_TOL:
+        if mu[role == side].sum() >= lo:
             continue
         for u in rng.permutation(np.flatnonzero(role == 0)):
             role[u] = side
-            if mu[role == side].sum() >= floor - FLOAT_TOL:
+            if mu[role == side].sum() >= lo:
                 break
-        if mu[role == side].sum() < floor - FLOAT_TOL:
+        if mu[role == side].sum() < lo:
             break
-    if mu[role == 1].sum() >= floor - FLOAT_TOL and mu[role == 2].sum() >= floor - FLOAT_TOL:
+    if mu[role == 1].sum() >= lo and mu[role == 2].sum() >= lo:
         return role
     # deterministic fallback: heaviest-first alternating split
     role = np.zeros(n, dtype=np.int64)
@@ -245,7 +251,7 @@ def _random_roles(
         side = 1 if side_mass[1] <= side_mass[2] else 2
         role[u] = side
         side_mass[side] += mu[u]
-    if side_mass[1] >= floor - FLOAT_TOL and side_mass[2] >= floor - FLOAT_TOL:
+    if side_mass[1] >= lo and side_mass[2] >= lo:
         return role
     return None
 
@@ -253,7 +259,7 @@ def _random_roles(
 def _climb_roles(
     weights: np.ndarray,
     mu: np.ndarray,
-    floor: float,
+    lo: float,
     objective: Objective,
     role: np.ndarray,
     max_moves: int,
@@ -279,8 +285,7 @@ def _climb_roles(
         mb_new = np.where(in_b, mu_b - mu, mu_b)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals0 = objective(s_new, ma_new, mb_new)
-        vals0 = np.where(~in_a & (ma_new >= floor - FLOAT_TOL) & (mb_new >= floor - FLOAT_TOL),
-                         vals0, neg_inf)
+        vals0 = np.where(~in_a & (ma_new >= lo) & (mb_new >= lo), vals0, neg_inf)
 
         # family 1: move u into B
         s_new = np.where(outside, s_ab + to_a, s_ab + to_a - to_b)
@@ -288,8 +293,7 @@ def _climb_roles(
         ma_new = np.where(in_a, mu_a - mu, mu_a)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals1 = objective(s_new, ma_new, mb_new)
-        vals1 = np.where(~in_b & (ma_new >= floor - FLOAT_TOL) & (mb_new >= floor - FLOAT_TOL),
-                         vals1, neg_inf)
+        vals1 = np.where(~in_b & (ma_new >= lo) & (mb_new >= lo), vals1, neg_inf)
 
         # family 2: move u outside
         s_new = np.where(in_a, s_ab - to_b, s_ab - to_a)
@@ -297,8 +301,7 @@ def _climb_roles(
         mb_new = np.where(in_b, mu_b - mu, mu_b)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals2 = objective(s_new, ma_new, mb_new)
-        vals2 = np.where(~outside & (ma_new >= floor - FLOAT_TOL) & (mb_new >= floor - FLOAT_TOL),
-                         vals2, neg_inf)
+        vals2 = np.where(~outside & (ma_new >= lo) & (mb_new >= lo), vals2, neg_inf)
 
         picks = [(int(np.argmax(v)), v) for v in (vals0, vals1, vals2)]
         fam = max(range(3), key=lambda f: picks[f][1][picks[f][0]])

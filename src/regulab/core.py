@@ -160,6 +160,8 @@ def _endpoint_checks(
     name: str,
     in_range: Callable[[np.ndarray, np.ndarray], np.ndarray],
     outside: Callable[[int], str],
+    *,
+    unordered: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[_Check]]:
     """Endpoint arrays of an edge list, its in-range mask, and its
     integer, range and duplicate checks, in that order.
@@ -167,13 +169,15 @@ def _endpoint_checks(
     ``in_range(iu, iv)`` masks the entries whose int64 endpoints are
     valid (entries that are not integers read as -1), and ``outside(k)``
     is the message for entry k when they are not.  An entry repeats
-    when an earlier valid entry has the same endpoints.
+    when an earlier valid entry has the same endpoints, in either order
+    when ``unordered``.
     """
     iu, u_int = _index_column(u)
     iv, v_int = _index_column(v)
     valid = in_range(iu, iv)
-    stride = int(iv[valid].max()) + 1 if valid.any() else 1
-    _, first = np.unique(np.where(valid, iu * stride + iv, -1), return_index=True)
+    lo, hi = (np.minimum(iu, iv), np.maximum(iu, iv)) if unordered else (iu, iv)
+    stride = int(hi[valid].max()) + 1 if valid.any() else 1
+    _, first = np.unique(np.where(valid, lo * stride + hi, -1), return_index=True)
     fresh = np.zeros(len(iu), dtype=bool)
     fresh[first] = True
     checks = [
@@ -230,8 +234,9 @@ class WeightedGraph:
         rho.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rho", rho)
-        heavy = mu.max() > mu.sum() / 10.0 + FLOAT_TOL
-        lopsided = mu.max() > 2.0 * mu.sum() / self.n + FLOAT_TOL
+        tol = FLOAT_TOL * mu.sum()  # a slack in the unit of mass
+        heavy = mu.max() > mu.sum() / 10.0 + tol
+        lopsided = mu.max() > 2.0 * mu.sum() / self.n + tol
         if self.n >= 2 and heavy and lopsided:
             warnings.warn(
                 "a single vertex carries more than 10% of the total vertex "

@@ -40,6 +40,7 @@ from .core import (
     EdgeFunction,
     InputError,
     WeightedGraph,
+    _is_index,
     index_array,
     inner_product,
     norm,
@@ -73,12 +74,8 @@ class BasicFunction:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(int(x) for x in sorted(set(self.a)))
-        b = tuple(int(x) for x in sorted(set(self.b)))
-        if a and not (0 <= a[0] and a[-1] < self.n):
-            raise InputError("A: vertex indices out of range")
-        if b and not (0 <= b[0] and b[-1] < self.n):
-            raise InputError("B: vertex indices out of range")
+        a = _basic_side(self.n, self.a, "A")
+        b = _basic_side(self.n, self.b, "B")
         if set(a) & set(b):
             raise InputError("basic function sides must be disjoint")
         object.__setattr__(self, "a", a)
@@ -91,6 +88,18 @@ class BasicFunction:
         return (self.a == other.a and self.b == other.b) or (
             self.a == other.b and self.b == other.a
         )
+
+
+def _basic_side(n: int, side: Iterable[int], name: str) -> tuple[int, ...]:
+    """A side of a basic function as sorted, distinct vertex ids; entries
+    must be integers (``True`` and ``1.0`` are rejected, not cast)."""
+    items = tuple(side)
+    if not all(map(_is_index, items)):
+        raise InputError(f"{name}: vertex indices must be integers")
+    out = tuple(sorted(set(map(int, items))))
+    if out and not (0 <= out[0] and out[-1] < n):
+        raise InputError(f"{name}: vertex indices out of range")
+    return out
 
 
 def _cross_sum(W: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -29,6 +29,9 @@ from .core import (
     HeavyVertexWarning,
     InputError,
     WeightedGraph,
+    _columns,
+    _endpoint_checks,
+    _raise_first_failure,
     pair_sides,
     rho_sum,
 )
@@ -272,13 +275,22 @@ def make_star(n: int) -> WeightedGraph:
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The 0/1 adjacency matrix of an unweighted edge list.
+
+    Entries need integer, distinct endpoints in [0, n), and (v, u)
+    repeats (u, v).  The first failing entry is cited, with its first
+    failed check in that order.
+    """
+    u, v = _columns(edges, 2, "edges")
+    iu, iv, _, checks = _endpoint_checks(
+        u, v, "edges",
+        lambda i, j: (0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j),
+        lambda k: f"edges[{k}]: need distinct endpoints in [0, {n}), got ({u[k]}, {v[k]})",
+        unordered=True,
+    )
+    _raise_first_failure(checks)
     adj = np.zeros((n, n))
-    for k, (u, v) in enumerate(edges):
-        if not (0 <= u < n and 0 <= v < n and u != v):
-            raise InputError(f"edges[{k}]: need distinct endpoints in [0, {n}), got ({u}, {v})")
-        if adj[u, v]:
-            raise InputError(f"edges[{k}]: duplicate edge ({u}, {v})")
-        adj[u, v] = adj[v, u] = 1.0
+    adj[iu, iv] = adj[iv, iu] = 1.0
     return adj
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "ScaleWarning",
     "QuasirandomVerdict",
     "check_quasirandom",
-    "check_quasirandom_exhaustive",
-    "check_quasirandom_search",
 ]
 
 
@@ -94,30 +92,6 @@ def _validate(G: WeightedGraph, beta: float, D: float | None) -> float:
             stacklevel=3,
         )
     return g
-
-
-def check_quasirandom_exhaustive(
-    G: WeightedGraph,
-    beta: float,
-    D: float | None = None,
-    *,
-    cap: int = TERNARY_CAP_DEFAULT,
-) -> QuasirandomVerdict:
-    """Certified verdict by enumeration of all 3^n assignments."""
-    return check_quasirandom(G, beta, D, mode="exhaustive", cap=cap)
-
-
-def check_quasirandom_search(
-    G: WeightedGraph,
-    beta: float,
-    D: float | None = None,
-    *,
-    seed: int,
-    restarts: int = 64,
-) -> QuasirandomVerdict:
-    """Hill-climbing witness search; a found violation is a certificate,
-    a pass only means the budget found none."""
-    return check_quasirandom(G, beta, D, mode="search", seed=seed, restarts=restarts)
 
 
 def check_quasirandom(

@@ -10,7 +10,10 @@ and a partition W0, W1, ..., Wl is weighted epsilon-regular when W0 is
 light (mu(W0) <= eps mu(V)), the other clusters are balanced up to one
 vertex mass, and all but at most eps * l^2 of the unordered cluster
 pairs are regular.  Mass floors are inclusive (>=) throughout, which
-only differs from a strict reading at exact threshold ties.
+only differs from a strict reading at exact threshold ties.  The
+rounding slack is FLOAT_TOL times the mass the floor is a share of
+(mu(A) or mu(B) for a sub-pair), so no verdict depends on the unit of
+mass, and an empty side never qualifies.
 
 One engine, ``pair_verdict``, checks every form of the pair condition:
 exhaustive mode certifies verdicts below a size cap, search mode
@@ -55,8 +58,6 @@ __all__ = [
     "PairRegularityVerdict",
     "PartitionCheckReport",
     "check_pair",
-    "check_pair_exhaustive",
-    "check_pair_search",
     "check_partition",
     "classical_epsilon_regular",
     "relative_regularity",
@@ -242,36 +243,13 @@ def check_pair(
 ) -> PairRegularityVerdict:
     """Weighted epsilon-regularity of (A, B) with respect to F.
 
-    ``auto`` enumerates when |A| + |B| <= cap and searches above it.
+    ``exhaustive`` enumerates every qualifying sub-pair and certifies;
+    ``search`` hill-climbs for a violation, so its pass is no
+    certificate; ``auto`` enumerates when |A| + |B| <= cap.
     """
     _check_epsilon(eps)
     a, b = pair_sides(P.graph.n, A, B)
     return _weighted_pair(P, a, b, eps, mode=mode, seed=seed, restarts=restarts, cap=cap)
-
-
-def check_pair_exhaustive(
-    P: SubgraphPair,
-    A: Iterable[int],
-    B: Iterable[int],
-    eps: float,
-    *,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
-) -> PairRegularityVerdict:
-    """Certified verdict by enumerating all qualifying sub-pairs."""
-    return check_pair(P, A, B, eps, mode="exhaustive", cap=cap)
-
-
-def check_pair_search(
-    P: SubgraphPair,
-    A: Iterable[int],
-    B: Iterable[int],
-    eps: float,
-    *,
-    seed: int,
-    restarts: int = 64,
-) -> PairRegularityVerdict:
-    """Witness search for a violating sub-pair (non-certificate on pass)."""
-    return check_pair(P, A, B, eps, mode="search", seed=seed, restarts=restarts)
 
 
 # -- partitions ----------------------------------------------------------

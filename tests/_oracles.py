@@ -2,8 +2,11 @@
 
 Everything here trades speed for transparent correctness: plain loops
 over itertools enumerations, Python floats, and no code shared with the
-package internals.  Mass floors are inclusive within FLOOR_TOL to match
-the library's convention.
+package internals.  Mass floors are inclusive within an absolute
+FLOOR_TOL.  The library's slack is instead FLOAT_TOL times the mass the
+floor is a share of, and an empty side never qualifies there; on the
+normalized-scale hosts these oracles are run on, both rules select the
+same sets.
 """
 
 from itertools import combinations, product

@@ -27,8 +27,7 @@ from regulab import (
     best_basic_search,
     build_regular_partition,
     check_pair,
-    check_pair_exhaustive,
-    check_quasirandom_exhaustive,
+    check_quasirandom,
     check_volume_pair,
     chernoff_K,
     classical_epsilon_regular,
@@ -172,8 +171,9 @@ def test_criterion_4_unit_weights_collapse_to_classical_regularity():
         f_mask = np.zeros((12, 12), dtype=bool)
         for i, j in edges:
             f_mask[i, 6 + j] = f_mask[6 + j, i] = True
-        v_weighted = check_pair_exhaustive(
-            SubgraphPair(graph=host, f_mask=f_mask), range(6), range(6, 12), eps
+        v_weighted = check_pair(
+            SubgraphPair(graph=host, f_mask=f_mask), range(6), range(6, 12), eps,
+            mode="exhaustive",
         )
         v_classical = classical_epsilon_regular(6, 6, edges, eps)
         v_brute = oracle.classical_regular(6, 6, edges, eps)
@@ -282,7 +282,7 @@ def test_criterion_8_closed_form_anchor_values_are_exact():
     # quasirandomness deviation is 1/n up to one float rounding.
     for n in (6, 8, 10):
         K = WeightedGraph(n=n, mu=np.ones(n), rho=np.ones((n, n)) - np.eye(n))
-        v = check_quasirandom_exhaustive(K, 0.2)
+        v = check_quasirandom(K, 0.2, mode="exhaustive")
         assert v.worst_deviation == 1.0 - (n - 1) / n
         assert abs(v.worst_deviation - 1.0 / n) < 5e-16
         if n == 8:

@@ -109,6 +109,14 @@ def test_heavy_vertex_warning_requires_both_conditions():
         WeightedGraph(n=n, mu=mu, rho=rho)
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+def test_heavy_vertex_warning_does_not_depend_on_the_unit_of_mass(scale):
+    # the slack scales with mu(V): an absolute one hid the heavy vertex
+    # once the masses were small enough
+    with pytest.warns(HeavyVertexWarning):
+        WeightedGraph(n=4, mu=np.array([1.0, 0.1, 0.1, 0.1]) * scale, rho=np.zeros((4, 4)))
+
+
 def test_index_array_sorts_dedups_and_checks_range():
     assert index_array(5, [3, 1, 3, 0]).tolist() == [0, 1, 3]
     with pytest.raises(InputError, match="lie in"):

@@ -45,6 +45,16 @@ def test_basic_function_validation():
         BasicFunction(3, (0,), (-1,))
 
 
+@pytest.mark.parametrize("bad", [0.9, True, "1"])
+def test_basic_function_rejects_vertices_that_are_not_integers(bad):
+    # these used to be cast: 0.9 to vertex 0, True and "1" to vertex 1
+    with pytest.raises(InputError, match="^A: vertex indices must be integers$"):
+        BasicFunction(5, (bad,), (2,))
+    with pytest.raises(InputError, match="^B: vertex indices must be integers$"):
+        BasicFunction(5, (2,), (3, bad))
+    assert BasicFunction(5, (np.int64(1),), (2,)).a == (1,)
+
+
 def test_same_support_ignores_orientation():
     p = BasicFunction(4, (0,), (1, 2))
     assert p.same_support(BasicFunction(4, (1, 2), (0,)))

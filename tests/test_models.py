@@ -223,6 +223,22 @@ def test_volume_density_validation():
         volume_density(3, [(0, 1), (0, 1)], [0], [1])
     with pytest.raises(InputError, match="distinct endpoints"):
         volume_density(3, [(0, 0)], [0], [1])
+    with pytest.raises(InputError, match=r"^edges\[2\]: duplicate edge \(1, 0\)$"):
+        volume_density(3, [(0, 1), (1, 2), (1, 0)], [0], [1])
+
+
+@pytest.mark.parametrize("bad", [(0.0, 1), (True, 2), (1, "2")])
+def test_volume_models_reject_endpoints_that_are_not_integers(bad):
+    # a float endpoint used to escape as numpy's IndexError, a boolean
+    # one as a ValueError
+    edges = [(0, 2), bad, (1, 2)]
+    message = r"^edges\[1\]: endpoints must be integers$"
+    with pytest.raises(InputError, match=message):
+        volume_weights(3, edges)
+    with pytest.raises(InputError, match=message):
+        volume_density(3, edges, [0], [1])
+    with pytest.raises(InputError, match=message):
+        check_volume_pair(3, edges, [0], [1], 0.3)
 
 
 @pytest.mark.parametrize("k", range(5))

@@ -11,8 +11,6 @@ from regulab import (
     ScaleWarning,
     WeightedGraph,
     check_quasirandom,
-    check_quasirandom_exhaustive,
-    check_quasirandom_search,
     gen_gnpij,
     make_star,
     weighted_density,
@@ -36,7 +34,7 @@ pytestmark = pytest.mark.filterwarnings(
 @pytest.mark.parametrize("beta", [0.15, 0.3])
 def test_beta_worst_matches_oracle(k, beta):
     G = random_graph(300, k, 6, p=0.5)
-    v = check_quasirandom_exhaustive(G, beta)
+    v = check_quasirandom(G, beta, mode="exhaustive")
     worst, count = oracle.qr_worst(G.mu.tolist(), G.rho.tolist(), beta)
     assert v.n_qualifying == count
     if worst is None:
@@ -49,7 +47,7 @@ def test_beta_worst_matches_oracle(k, beta):
 @pytest.mark.parametrize("k", range(5))
 def test_ratio_worst_matches_oracle(k):
     G = random_graph(301, k, 6, p=0.4)
-    v = check_quasirandom_exhaustive(G, 0.2, 2.5)
+    v = check_quasirandom(G, 0.2, 2.5, mode="exhaustive")
     worst, count = oracle.qr_worst(G.mu.tolist(), G.rho.tolist(), 0.2, D=2.5)
     assert v.n_qualifying == count
     if np.isinf(worst):
@@ -72,7 +70,7 @@ def test_ratio_worst_matches_oracle(k):
 )
 def test_complete_graph_worst_deviation(n, worst, pair, nq):
     # on K_n every qualifying pair has density 1 against global (n-1)/n
-    v = check_quasirandom_exhaustive(complete_graph(n), 0.4)
+    v = check_quasirandom(complete_graph(n), 0.4, mode="exhaustive")
     assert v.worst_deviation == worst
     assert v.worst_pair == pair
     assert v.n_qualifying == nq
@@ -86,12 +84,12 @@ def test_star_deviations_and_scale_warning():
         S = make_star(8)
     # global density 56 makes the absolute beta threshold meaningless
     with pytest.warns(ScaleWarning):
-        v = check_quasirandom_exhaustive(S, 0.1)
+        v = check_quasirandom(S, 0.1, mode="exhaustive")
     assert v.worst_deviation == 56.000000000000014
     assert v.worst_pair == ((4, 5), (6, 7))  # a zero-weight leaf pair
     assert not v.passed
     with pytest.warns(ScaleWarning):
-        r = check_quasirandom_exhaustive(S, 0.1, 10.0)
+        r = check_quasirandom(S, 0.1, 10.0, mode="exhaustive")
     assert np.isinf(r.worst_deviation) and not r.passed
     assert r.worst_pair == ((4, 5), (6, 7))
 
@@ -99,16 +97,16 @@ def test_star_deviations_and_scale_warning():
 def test_gnp12_golden_and_search_agreement():
     G = gen_gnpij(12, ProbMatrixSpec.constant(0.5), seed=3)
     assert G.edge_count == 27
-    ve = check_quasirandom_exhaustive(G, 0.25)
+    ve = check_quasirandom(G, 0.25, mode="exhaustive")
     assert not ve.passed
     assert ve.worst_deviation == 1.25
     assert ve.worst_pair == ((0, 1, 2), (4, 7, 10))
     assert ve.n_qualifying == 343508
-    vs = check_quasirandom_search(G, 0.25, seed=0, restarts=64)
+    vs = check_quasirandom(G, 0.25, mode="search", seed=0, restarts=64)
     assert vs.worst_deviation == 1.25
     assert vs.worst_pair == ((0, 1, 2), (4, 7, 10))
     assert vs.certified  # a found violation certifies the failure
-    vr = check_quasirandom_exhaustive(G, 0.25, 3.0)
+    vr = check_quasirandom(G, 0.25, 3.0, mode="exhaustive")
     assert np.isinf(vr.worst_deviation)
     assert vr.worst_pair == ((5, 7, 9), (8, 10, 11))
 
@@ -120,14 +118,14 @@ def test_gnp12_golden_and_search_agreement():
 def test_passing_is_monotone_in_beta(k):
     G = random_graph(302, k, 7, p=0.5)
     betas = [0.1, 0.2, 0.3, 0.4]
-    verdicts = [check_quasirandom_exhaustive(G, b).passed for b in betas]
+    verdicts = [check_quasirandom(G, b, mode="exhaustive").passed for b in betas]
     for lo, hi in zip(verdicts, verdicts[1:]):
         assert hi or not lo  # passed at beta implies passed at larger beta
 
 
 def test_vacuous_when_floors_are_unreachable():
     # two disjoint sets cannot both hold 60% of the mass
-    v = check_quasirandom_exhaustive(complete_graph(5), 0.6)
+    v = check_quasirandom(complete_graph(5), 0.6, mode="exhaustive")
     assert v.vacuous and v.passed and v.worst_deviation is None
     assert v.n_qualifying == 0
 
@@ -135,15 +133,15 @@ def test_vacuous_when_floors_are_unreachable():
 @pytest.mark.parametrize("k", range(5))
 def test_search_never_beats_exhaustive(k):
     G = random_graph(303, k, 7, p=0.5)
-    ve = check_quasirandom_exhaustive(G, 0.2)
-    vs = check_quasirandom_search(G, 0.2, seed=k, restarts=32)
+    ve = check_quasirandom(G, 0.2, mode="exhaustive")
+    vs = check_quasirandom(G, 0.2, mode="search", seed=k, restarts=32)
     if vs.worst_deviation is not None:
         assert vs.worst_deviation <= ve.worst_deviation + 1e-12
 
 
 def test_search_witness_reproduces_its_deviation():
     G = random_graph(304, 0, 16, p=0.5)
-    v = check_quasirandom_search(G, 0.15, seed=1, restarts=16)
+    v = check_quasirandom(G, 0.15, mode="search", seed=1, restarts=16)
     A, B = v.worst_pair
     assert all(isinstance(x, int) for x in A + B)
     d = weighted_density(G, A, B)
@@ -165,18 +163,18 @@ def test_dispatch_and_validation():
     with pytest.raises(InputError, match="unknown mode"):
         check_quasirandom(G, 0.3, mode="guess")
     with pytest.raises(InputError, match="capped"):
-        check_quasirandom_exhaustive(random_graph(305, 1, 16), 0.2)
+        check_quasirandom(random_graph(305, 1, 16), 0.2, mode="exhaustive")
 
 
 def test_edgeless_graph_ratio_is_tight():
     G = WeightedGraph(n=4, mu=np.ones(4), rho=np.zeros((4, 4)))
-    v = check_quasirandom_exhaustive(G, 0.25, 2.0)
+    v = check_quasirandom(G, 0.25, 2.0, mode="exhaustive")
     # zero global density: every qualifying pair has d = 0 = g, ratio 1
     assert v.passed and v.worst_deviation == 1.0
 
 
 def test_verdict_to_dict_roundtrips_keys():
-    v = check_quasirandom_exhaustive(complete_graph(5), 0.4)
+    v = check_quasirandom(complete_graph(5), 0.4, mode="exhaustive")
     d = v.to_dict()
     assert d["kind"] == "beta" and d["passed"] is True
     assert d["worst_pair"] == {"A": [1, 2], "B": [3, 4]}

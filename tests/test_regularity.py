@@ -11,8 +11,6 @@ from regulab import (
     SubgraphPair,
     best_basic_search,
     check_pair,
-    check_pair_exhaustive,
-    check_pair_search,
     check_partition,
     check_quasirandom,
     check_volume_pair,
@@ -39,7 +37,7 @@ from _helpers import complete_graph, random_subpair, random_unweighted_edges
 def test_pair_worst_matches_oracle(k, eps):
     P = random_subpair(400, k, 8, p_host=0.7, p_keep=0.6, unit_mu=False)
     A, B = [0, 1, 2, 3], [4, 5, 6, 7]
-    v = check_pair_exhaustive(P, A, B, eps)
+    v = check_pair(P, A, B, eps, mode="exhaustive")
     worst, count = oracle.pair_worst(
         P.graph.mu.tolist(), P.rho_f.tolist(), A, B, eps
     )
@@ -50,7 +48,7 @@ def test_pair_worst_matches_oracle(k, eps):
 
 def test_exhaustive_witness_reproduces_its_deviation():
     P = random_subpair(401, 0, 9, p_host=0.8, p_keep=0.5)
-    v = check_pair_exhaustive(P, [0, 1, 2, 3], [4, 5, 6, 7, 8], 0.3)
+    v = check_pair(P, [0, 1, 2, 3], [4, 5, 6, 7, 8], 0.3, mode="exhaustive")
     X, Y = v.worst_witness
     d = weighted_density(P, X, Y)
     assert abs(d - v.base_density) == pytest.approx(v.worst_deviation, rel=1e-12)
@@ -76,7 +74,7 @@ def test_complete_bipartite_pair_is_regular_everywhere():
     G = complete_graph(8)
     P = SubgraphPair.full(G)
     for eps in (0.1, 0.4, 0.8):
-        v = check_pair_exhaustive(P, [0, 1, 2, 3], [4, 5, 6, 7], eps)
+        v = check_pair(P, [0, 1, 2, 3], [4, 5, 6, 7], eps, mode="exhaustive")
         assert v.passed and v.worst_deviation == 0.0
 
 
@@ -85,7 +83,7 @@ def test_complete_bipartite_pair_is_regular_everywhere():
 
 def test_singleton_pair_fast_path():
     P = SubgraphPair.full(complete_graph(4))
-    v = check_pair_search(P, [0], [3], 0.3, seed=0)
+    v = check_pair(P, [0], [3], 0.3, mode="search", seed=0)
     assert v.passed and v.certified
     assert v.worst_deviation == 0.0
     assert v.n_qualifying == 1
@@ -138,8 +136,8 @@ def test_one_by_one_pair_has_one_verdict_everywhere(route):
 def test_search_never_beats_exhaustive(k):
     P = random_subpair(402, k, 10, p_host=0.7, p_keep=0.5)
     A, B = [0, 1, 2, 3, 4], [5, 6, 7, 8, 9]
-    ve = check_pair_exhaustive(P, A, B, 0.3)
-    vs = check_pair_search(P, A, B, 0.3, seed=k, restarts=32)
+    ve = check_pair(P, A, B, 0.3, mode="exhaustive")
+    vs = check_pair(P, A, B, 0.3, mode="search", seed=k, restarts=32)
     assert vs.worst_deviation <= ve.worst_deviation + 1e-12
     if not vs.passed:
         assert not ve.passed  # a found violation is real
@@ -161,10 +159,12 @@ def test_auto_dispatch_by_size():
 def test_deviations_scale_with_the_weight_units():
     P = random_subpair(404, 0, 8, p_host=0.8, p_keep=0.6, unit_mu=False)
     A, B = [0, 1, 2, 3], [4, 5, 6, 7]
-    v1 = check_pair_exhaustive(P, A, B, 0.3)
+    v1 = check_pair(P, A, B, 0.3, mode="exhaustive")
     s, t = 2.0, 3.0
     G2 = WeightedGraph(n=8, mu=P.graph.mu * s, rho=P.graph.rho * t)
-    v2 = check_pair_exhaustive(SubgraphPair(graph=G2, f_mask=P.f_mask), A, B, 0.3)
+    v2 = check_pair(
+        SubgraphPair(graph=G2, f_mask=P.f_mask), A, B, 0.3, mode="exhaustive"
+    )
     # densities carry units rho / mu^2; the qualifying floors do not move
     assert v2.worst_deviation == pytest.approx(
         v1.worst_deviation * t / s**2, rel=1e-12
@@ -175,14 +175,15 @@ def test_deviations_scale_with_the_weight_units():
 def test_pair_validation_errors():
     P = SubgraphPair.full(complete_graph(6))
     with pytest.raises(InputError, match="epsilon must lie"):
-        check_pair_exhaustive(P, [0, 1], [2, 3], 1.0)
+        check_pair(P, [0, 1], [2, 3], 1.0, mode="exhaustive")
     with pytest.raises(InputError, match="disjoint"):
-        check_pair_exhaustive(P, [0, 1], [1, 2], 0.3)
+        check_pair(P, [0, 1], [1, 2], 0.3, mode="exhaustive")
     with pytest.raises(InputError, match="nonempty"):
-        check_pair_exhaustive(P, [], [1, 2], 0.3)
+        check_pair(P, [], [1, 2], 0.3, mode="exhaustive")
     with pytest.raises(InputError, match="capped"):
-        check_pair_exhaustive(
-            SubgraphPair.full(complete_graph(30)), range(15), range(15, 30), 0.3
+        check_pair(
+            SubgraphPair.full(complete_graph(30)), range(15), range(15, 30), 0.3,
+            mode="exhaustive",
         )
     with pytest.raises(InputError, match="unknown mode"):
         check_pair(P, [0], [1], 0.3, mode="sometimes")
@@ -190,7 +191,7 @@ def test_pair_validation_errors():
 
 def test_weighted_verdict_threshold_defaults_to_epsilon():
     P = SubgraphPair.full(complete_graph(6))
-    v = check_pair_exhaustive(P, [0, 1, 2], [3, 4, 5], 0.3)
+    v = check_pair(P, [0, 1, 2], [3, 4, 5], 0.3, mode="exhaustive")
     assert v.threshold is None
     assert v.deviation_bound() == 0.3
     assert v.to_dict()["threshold"] == 0.3
