@@ -16,6 +16,8 @@ lexicographically smallest witness.
 Every maximizer here and in ``_search`` decides its mass floors through
 ``lowest_mass``: floors are inclusive, the slack is FLOAT_TOL times the
 total the floor is a share of, and an empty side never qualifies.
+Every check decides between enumeration and search through
+``resolve_mode``, against a constant size cap.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 
 from .core import FLOAT_TOL, InputError
 
-TERNARY_CAP_DEFAULT = 14
-SUBSET_PAIR_CAP_DEFAULT = 26
+TERNARY_CAP = 14  # vertices n of the 3^n assignment tables
+SUBSET_PAIR_CAP = 26  # side sizes |A| + |B| of the subset-pair scan
 SCAN_BLOCK_CELLS = 1 << 22  # table cells the subset-pair scan holds at once
 
 
@@ -61,16 +63,25 @@ def lowest_mass(floor: float, total: float) -> float:
     return max(floor - FLOAT_TOL * total, floor / 2)
 
 
-def resolve_mode(mode: str, size: int, cap: int) -> str:
+def resolve_mode(mode: str, sizes: tuple[int, ...], cap: int, what: str) -> str:
     """Validate a check mode and resolve it to "exhaustive" or "search".
 
-    "auto" enumerates exactly when the instance size is within the cap.
+    The instance size is ``sum(sizes)``, named ``what`` in errors.
+    "auto" enumerates exactly when the size is within the cap, and
+    "exhaustive" beyond the cap is an error.
     """
     if mode not in ("auto", "exhaustive", "search"):
         raise InputError(f"unknown mode {mode!r}")
-    if mode != "auto":
-        return mode
-    return "exhaustive" if size <= cap else "search"
+    size = sum(sizes)
+    if mode == "auto":
+        return "exhaustive" if size <= cap else "search"
+    if mode == "exhaustive" and size > cap:
+        got = "+".join(map(str, sizes))
+        raise InputError(
+            f"exhaustive enumeration is capped at {what}={cap} (got {got}); "
+            "use search mode"
+        )
+    return mode
 
 
 def ternary_assignment_sums(
@@ -141,14 +152,6 @@ def ternary_argmax(
     values = np.where(qualifying, values, -np.inf)
     code = int(np.argmax(values))
     return Maximum(float(values[code]), *decode_assignment(code, mu.shape[0]), n_qualifying)
-
-
-def check_ternary_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise InputError(
-            f"exhaustive enumeration over 3^n assignments is capped at n={cap} "
-            f"(got n={n}); raise the cap explicitly or use search mode"
-        )
 
 
 # -- subset machinery ------------------------------------------------------
@@ -247,10 +250,3 @@ def scan_subset_pairs(
         best_value, decode_subset(best_a, ka), decode_subset(best_b, kb), n_qualifying
     )
 
-
-def check_subset_pair_cap(size_a: int, size_b: int, cap: int) -> None:
-    if size_a + size_b > cap:
-        raise InputError(
-            f"exhaustive subset-pair enumeration is capped at |A|+|B|={cap} "
-            f"(got {size_a}+{size_b}); raise the cap explicitly or use search mode"
-        )

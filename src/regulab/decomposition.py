@@ -17,8 +17,10 @@ a budget stop the non-pseudorandom remainder goes to f_err and f_psd is
 zero.  The reported certificate is the best correlation measured
 against the final f_psd itself, so it stays honest when clipping made
 the search residual and f_psd differ.  Correlation maximization is
-exhaustive (3^n assignments) below a cap and alternating-maximization
-search above it.
+exhaustive (3^n assignments) for n up to the constant BEST_BASIC_CAP
+and alternating-maximization search above it; ``auto``, the default,
+picks by that cap.  A decomposition is certified only on an exact
+certificate: the maximizer ran exhaustively, or f_psd is zero.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._enumerate import (
-    check_ternary_cap,
-    decode_assignment,
-    resolve_mode,
-    ternary_assignment_sums,
-)
+from ._enumerate import decode_assignment, resolve_mode, ternary_assignment_sums
 from ._search import best_of_restarts
 from .core import (
     EdgeFunction,
@@ -46,13 +43,13 @@ from .core import (
     norm,
 )
 
-BEST_BASIC_CAP_DEFAULT = 12
+BEST_BASIC_CAP = 12  # vertices n of the 3^n correlation table
 ALTERNATING_ROUNDS = 64  # best-response rounds per alternating maximization
 RIDGE_CONDITION_LIMIT = 1e12
 RIDGE_FACTOR = 1e-10
 
 __all__ = [
-    "BEST_BASIC_CAP_DEFAULT",
+    "BEST_BASIC_CAP",
     "BasicFunction",
     "ProjectionResult",
     "StructuredDecomposition",
@@ -136,18 +133,14 @@ def basic_inner(G: WeightedGraph, p: BasicFunction, q: BasicFunction) -> float:
     return total / comb(G.n, 2)
 
 
-def best_basic_exhaustive(
-    G: WeightedGraph,
-    r: EdgeFunction,
-    *,
-    cap: int = BEST_BASIC_CAP_DEFAULT,
-) -> tuple[BasicFunction, float]:
-    """Maximize |<r, gamma_{A,B}>| over all disjoint pairs by enumeration.
+def best_basic_exhaustive(G: WeightedGraph, r: EdgeFunction) -> tuple[BasicFunction, float]:
+    """Maximize |<r, gamma_{A,B}>| over all disjoint pairs by enumeration,
+    for n <= BEST_BASIC_CAP.
 
     Ties resolve to the lexicographically smallest assignment; with
     r = 0 everywhere that is the empty pair.
     """
-    check_ternary_cap(G.n, cap)
+    resolve_mode("exhaustive", (G.n,), BEST_BASIC_CAP, "n")
     W = r.values * G.rho
     _, _, s_ab = ternary_assignment_sums(W, G.mu)
     code = int(np.argmax(np.abs(s_ab)))
@@ -214,11 +207,10 @@ def _best_basic(
     mode: str,
     seed: int,
     restarts: int,
-    cap: int,
 ) -> tuple[BasicFunction, float]:
     # ``mode`` is already resolved to "exhaustive" or "search"
     if mode == "exhaustive":
-        return best_basic_exhaustive(G, r, cap=cap)
+        return best_basic_exhaustive(G, r)
     return best_basic_search(G, r, seed=seed, restarts=restarts)
 
 
@@ -313,10 +305,11 @@ class StructuredDecomposition:
     """f = f_str + f_psd + f_err with per-part certificates.
 
     ``psd_certificate`` is the best |<f_psd, gamma>| found at
-    termination (exact below the exhaustive cap), to be compared with
-    ``cert_bound`` = 1/J(M).  ``err_norm`` = ||f_err||.  ``certified``
-    means the loop stopped at the correlation threshold, the
-    certificate respects its bound, and err_norm <= eps.
+    termination, to be compared with ``cert_bound`` = 1/J(M); it is
+    exact when ``mode``, the mode that ran, is exhaustive or f_psd is
+    zero, and a search lower bound otherwise.  ``err_norm`` = ||f_err||.
+    ``certified`` means the loop stopped at the correlation threshold,
+    the certificate is exact and respects its bound, and err_norm <= eps.
     """
 
     terms: list[tuple[float, BasicFunction]]
@@ -369,7 +362,6 @@ def strong_decompose(
     seed: int = 0,
     restarts: int = 64,
     stop_when: Callable[[Sequence[BasicFunction]], bool] | None = None,
-    cap: int = BEST_BASIC_CAP_DEFAULT,
 ) -> StructuredDecomposition:
     """Greedy energy-increment decomposition of f.
 
@@ -380,7 +372,7 @@ def strong_decompose(
     budget: consulted with the would-be extended basis, a True return
     stops the loop before the candidate is added.
     """
-    resolved = resolve_mode(mode, G.n, cap)
+    mode = resolve_mode(mode, (G.n,), BEST_BASIC_CAP, "n")
     if (J is None) == (j_of_basis is None):
         raise InputError("exactly one of J and j_of_basis is required")
     if eps <= 0:
@@ -411,7 +403,7 @@ def strong_decompose(
             raise InputError("J must be nondecreasing in the term count")
         prev_threshold = threshold
         residual = EdgeFunction(f.values - projection.f_proj.values)
-        candidate, corr = _best_basic(G, residual, resolved, seed + M, restarts, cap)
+        candidate, corr = _best_basic(G, residual, mode, seed + M, restarts)
         if abs(corr) < threshold:
             stop_reason = "pseudorandom"
             break
@@ -446,15 +438,18 @@ def strong_decompose(
         f_psd = EdgeFunction.zeros(G.n)
         f_err = EdgeFunction(f.values - f_str.values)
 
-    if np.any(f_psd.values != 0.0):
-        _, cert_corr = _best_basic(G, f_psd, resolved, seed + M + 1, restarts, cap)
-        psd_certificate = abs(cert_corr)
-    else:
+    psd_zero = not np.any(f_psd.values)
+    if psd_zero:
         psd_certificate = 0.0
+    else:
+        _, cert_corr = _best_basic(G, f_psd, mode, seed + M + 1, restarts)
+        psd_certificate = abs(cert_corr)
     cert_bound = 1.0 / j_value(basis, max(M, 1))
     err_norm = norm(G, f_err)
+    # a search only bounds the best correlation from below: no proof
     certified = (
         stop_reason == "pseudorandom"
+        and (mode == "exhaustive" or psd_zero)
         and psd_certificate < cert_bound + 1e-12
         and err_norm <= eps + 1e-12
     )

@@ -35,7 +35,7 @@ from .core import (
     pair_sides,
     rho_sum,
 )
-from .regularity import SUBSET_PAIR_CAP_DEFAULT, PairRegularityVerdict, pair_verdict
+from .regularity import PairRegularityVerdict, pair_verdict
 
 __all__ = [
     "ProbMatrixSpec",
@@ -349,7 +349,6 @@ def check_volume_pair(
     mode: str = "auto",
     seed: int = 0,
     restarts: int = 64,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
     """Volume-form regularity of a pair in an unweighted graph.
 
@@ -384,7 +383,7 @@ def check_volume_pair(
         [cross], wa, wb, deviation,
         eps=eps, base=e_ab * vol_v / (vol_a * vol_b), ids_a=a, ids_b=b,
         threshold=eps * vol_a * vol_b / vol_v, form="volume",
-        mode=mode, seed=seed, restarts=restarts, cap=cap,
+        mode=mode, seed=seed, restarts=restarts,
     )
 
 

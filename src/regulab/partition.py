@@ -121,6 +121,9 @@ def split_atoms(
     chunk always lands in (w* - max mu, w*].  The atom's final chunk is
     kept as a cluster only if it also clears w* - max mu; lighter
     leftovers go to W_0, as do vertices heavier than w* on their own.
+    Mass comparisons allow FLOAT_TOL * mu(V) of rounding slack, as
+    ``partition_report`` does, so the split does not depend on the unit
+    of mass.
     """
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
@@ -132,7 +135,7 @@ def split_atoms(
     mu = G.mu
     mu_max = float(mu.max())
     w_star = eps * G.mu_total / (L + len(atoms))
-    scale_tol = FLOAT_TOL * max(w_star, 1.0)
+    tol = FLOAT_TOL * G.mu_total
     w0: list[int] = []
     clusters: list[tuple[int, ...]] = []
     oversized: list[int] = []
@@ -141,16 +144,16 @@ def split_atoms(
         chunk: list[int] = []
         mass = 0.0
         for v in members:
-            if mu[v] > w_star + scale_tol:
+            if mu[v] > w_star + tol:
                 oversized.append(v)
                 continue
-            if mass + mu[v] > w_star + scale_tol:
+            if mass + mu[v] > w_star + tol:
                 clusters.append(tuple(sorted(chunk)))
                 chunk, mass = [], 0.0
             chunk.append(v)
             mass += float(mu[v])
         if chunk:
-            if mass > w_star - mu_max + scale_tol:
+            if mass > w_star - mu_max + tol:
                 clusters.append(tuple(sorted(chunk)))
             else:
                 w0.extend(chunk)
@@ -205,7 +208,7 @@ def classify_pairs(
     eps: float,
     eta: float,
     *,
-    mode: str = "search",
+    mode: str = "auto",
     seed: int = 0,
     restarts: int = 64,
 ) -> tuple[list[PairClassification], dict]:
@@ -339,21 +342,23 @@ def build_regular_partition(
     L: int,
     *,
     seed: int = 0,
-    mode: str = "search",
+    mode: str = "auto",
     restarts: int = 64,
     M_max: int = 64,
     eta: float | None = None,
-    err_target: float | None = None,
     j_factor: float = 100.0,
     max_atoms: int | None = None,
 ) -> BuildReport:
     """Build a candidate eps-regular partition with at most L + a clusters.
 
-    ``eta`` is the per-pair error-energy budget (default eps^6 / 100)
-    and ``err_target`` the decomposition's goal for ||f_err|| (default
-    eps * sqrt(eta)).  ``j_factor`` scales the correlation denominator,
-    ``max_atoms`` caps the structured part's atom count (default keeps
-    w* at least the largest vertex weight).  The report's bullets record
+    ``eta`` is the per-pair error-energy budget (default eps^6 / 100),
+    and the decomposition's goal for ||f_err|| is eps * sqrt(eta).
+    ``j_factor`` scales the correlation denominator, ``max_atoms`` caps
+    the structured part's atom count (default keeps w* at least the
+    largest vertex weight).  ``mode`` applies to the decomposition and to
+    every cluster pair, each resolving ``auto`` by its own size cap;
+    ``BuildReport.mode`` is the requested mode and the decomposition's
+    ``mode`` the one that ran.  The report's bullets record
     whether the produced partition meets the exceptional-mass, balance,
     and irregular-pair conditions; they are measured, not assumed.
     """
@@ -373,8 +378,7 @@ def build_regular_partition(
         )
     if eta is None:
         eta = eps**6 / 100.0
-    if err_target is None:
-        err_target = eps * float(np.sqrt(eta))
+    err_target = eps * float(np.sqrt(eta))
     if max_atoms is None:
         max_atoms = default_max_atoms(G, eps, L)
     n = G.n
@@ -404,10 +408,10 @@ def build_regular_partition(
             "certificate"
         )
     if not decomposition.certified:
-        flags.append(
-            f"decomposition not certified (err_norm {decomposition.err_norm:.6g} "
-            f"vs target {err_target:.6g})"
-        )
+        why = f"err_norm {decomposition.err_norm:.6g} vs target {err_target:.6g}"
+        if decomposition.mode == "search" and np.any(decomposition.f_psd.values):
+            why += "; its pseudorandomness certificate is a search lower bound"
+        flags.append(f"decomposition not certified ({why})")
 
     basis = [bf for _, bf in decomposition.terms]
     atoms = atoms_from_structure(n, basis)

@@ -7,11 +7,13 @@ mu(A), mu(B) >= beta * mu(V) has
 
 and (D, beta)-quasi-random (D > 1) if instead every such pair density
 lies within a factor D of the global density.  Exhaustive mode settles
-the quantifier by enumerating all 3^n assignments (capped); search mode
-hill-climbs for a violating pair, so "passed" there only means no
-violation was found.  The beta threshold is absolute, so verdicts are
-scale-sensitive: the checker warns when the global density strays far
-from 1, which normalization would fix.
+the quantifier by enumerating all 3^n assignments, for n up to the
+constant TERNARY_CAP; search mode hill-climbs for a violating pair, so
+"passed" there only means no violation was found.  ``auto``, the
+default, enumerates exactly when n is within the cap.  The beta
+threshold is absolute, so verdicts are scale-sensitive: the checker
+warns when the global density strays far from 1, which normalization
+would fix.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._enumerate import TERNARY_CAP_DEFAULT, check_ternary_cap, resolve_mode, ternary_argmax
+from ._enumerate import TERNARY_CAP, resolve_mode, ternary_argmax
 from ._search import disjoint_pair_search
 from .core import InputError, WeightedGraph, global_density
 
@@ -102,13 +104,13 @@ def check_quasirandom(
     mode: str = "auto",
     seed: int = 0,
     restarts: int = 64,
-    cap: int = TERNARY_CAP_DEFAULT,
 ) -> QuasirandomVerdict:
-    """Exhaustive enumeration (n <= cap under auto) or witness search.
+    """Exhaustive enumeration (n <= TERNARY_CAP under auto) or witness
+    search.
 
     With no qualifying pair the verdict is a vacuous pass.
     """
-    mode = resolve_mode(mode, G.n, cap)
+    mode = resolve_mode(mode, (G.n,), TERNARY_CAP, "n")
     g = _validate(G, beta, D)
     kind = "beta" if D is None else "ratio"
     floor = beta * G.mu_total
@@ -124,7 +126,6 @@ def check_quasirandom(
             return np.maximum(d / g, g / d)
 
     if mode == "exhaustive":
-        check_ternary_cap(G.n, cap)
         best = ternary_argmax(G.rho, G.mu, floor, objective)
     else:
         best = disjoint_pair_search(

@@ -16,8 +16,10 @@ rounding slack is FLOAT_TOL times the mass the floor is a share of
 mass, and an empty side never qualifies.
 
 One engine, ``pair_verdict``, checks every form of the pair condition:
-exhaustive mode certifies verdicts below a size cap, search mode
-hill-climbs for violating witnesses.  The weighted, classical (unit
+exhaustive mode certifies verdicts up to the constant size cap
+|A| + |B| <= SUBSET_PAIR_CAP, search mode hill-climbs for violating
+witnesses, and ``auto``, every check's default, enumerates exactly when
+the pair is within the cap.  The weighted, classical (unit
 weights), relative and volume forms are front ends to it.  A 1 x 1
 pair is its own only qualifying sub-pair, so its verdict (exhaustive,
 certified, deviation 0) needs no search.  ``check_partition`` runs
@@ -35,12 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._enumerate import (
-    SUBSET_PAIR_CAP_DEFAULT,
-    check_subset_pair_cap,
-    resolve_mode,
-    scan_subset_pairs,
-)
+from ._enumerate import SUBSET_PAIR_CAP, resolve_mode, scan_subset_pairs
 from ._search import pair_witness_search
 from .core import (
     FLOAT_TOL,
@@ -123,7 +120,6 @@ def pair_verdict(
     mode: str = "auto",
     seed: int = 0,
     restarts: int = 64,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
     """Maximize deviation(tables, wX, wY) over sub-pairs X x Y with
     wX >= eps wa.sum() and wY >= eps wb.sum(), ``tables`` holding each
@@ -133,7 +129,7 @@ def pair_verdict(
     Witness positions are reported through ``ids_a`` and ``ids_b``.
     """
     ka, kb = crosses[0].shape
-    mode = _pair_mode(mode, ka, kb, cap)
+    mode = resolve_mode(mode, (ka, kb), SUBSET_PAIR_CAP, "|A|+|B|")
     if ka == 1 and kb == 1:
         return _one_by_one_verdict(
             eps, base, int(ids_a[0]), int(ids_b[0]), form=form, threshold=threshold
@@ -156,14 +152,6 @@ def pair_verdict(
     return _finish_verdict(
         eps, mode, best.value, witness, best.n_qualifying, base, form, threshold
     )
-
-
-def _pair_mode(mode: str, ka: int, kb: int, cap: int) -> str:
-    """The engine's mode for a ka x kb pair, size cap checked."""
-    mode = resolve_mode(mode, ka + kb, cap)
-    if mode == "exhaustive":
-        check_subset_pair_cap(ka, kb, cap)
-    return mode
 
 
 def _one_by_one_verdict(
@@ -239,17 +227,16 @@ def check_pair(
     mode: str = "auto",
     seed: int = 0,
     restarts: int = 64,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
     """Weighted epsilon-regularity of (A, B) with respect to F.
 
     ``exhaustive`` enumerates every qualifying sub-pair and certifies;
     ``search`` hill-climbs for a violation, so its pass is no
-    certificate; ``auto`` enumerates when |A| + |B| <= cap.
+    certificate; ``auto`` enumerates when |A| + |B| <= SUBSET_PAIR_CAP.
     """
     _check_epsilon(eps)
     a, b = pair_sides(P.graph.n, A, B)
-    return _weighted_pair(P, a, b, eps, mode=mode, seed=seed, restarts=restarts, cap=cap)
+    return _weighted_pair(P, a, b, eps, mode=mode, seed=seed, restarts=restarts)
 
 
 # -- partitions ----------------------------------------------------------
@@ -335,38 +322,31 @@ def cluster_pair_verdicts(
     mode: str,
     seed: int,
     restarts: int,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> list[tuple[int, int, PairRegularityVerdict]]:
     """Weighted verdicts (i, j, verdict) for every cluster pair i < j,
     1-based in row order; the k-th pair is searched with seed + k.
 
     Pairs with a multi-vertex side go through the engine.  Pairs of two
     singleton clusters need no search: their base densities are read
-    off one array and each gets the engine's 1 x 1 verdict, after the
-    engine's mode and cap checks have run once, at the first such pair.
-    Errors therefore come from the same pair as one engine call per pair
-    would raise them.
+    off one array and each gets the engine's 1 x 1 verdict.  A 1 x 1
+    pair is within every cap, so the mode is validated once, up front.
     """
-    resolve_mode(mode, 2, cap)  # an unknown mode fails even with no pair
+    resolve_mode(mode, (1, 1), SUBSET_PAIR_CAP, "|A|+|B|")
     mu = P.graph.mu
     singles = [i for i, c in enumerate(cluster_idx) if c.size == 1]
     s = np.array([cluster_idx[i][0] for i in singles], dtype=np.intp)
     base = (P.rho_f[np.ix_(s, s)] / np.outer(mu[s], mu[s])).tolist()
     slot = dict(zip(singles, range(len(singles))))
     vertex = s.tolist()
-    checked = False
     verdicts = []
     for k, (i, j) in enumerate(combinations(range(len(cluster_idx)), 2)):
         if i in slot and j in slot:
-            if not checked:
-                _pair_mode(mode, 1, 1, cap)
-                checked = True
             x, y = slot[i], slot[j]
             v = _one_by_one_verdict(eps, base[x][y], vertex[x], vertex[y])
         else:
             v = _weighted_pair(
                 P, cluster_idx[i], cluster_idx[j], eps,
-                mode=mode, seed=seed + k, restarts=restarts, cap=cap,
+                mode=mode, seed=seed + k, restarts=restarts,
             )
         verdicts.append((i + 1, j + 1, v))
     return verdicts
@@ -418,7 +398,6 @@ def check_partition(
     mode: str = "auto",
     seed: int = 0,
     restarts: int = 64,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PartitionCheckReport:
     """Check the light-W0, balance, and pair-regularity requirements.
 
@@ -432,7 +411,7 @@ def check_partition(
     if not cluster_idx:
         raise InputError("need at least one cluster besides W0")
     verdicts = cluster_pair_verdicts(
-        P, cluster_idx, eps, mode=mode, seed=seed, restarts=restarts, cap=cap
+        P, cluster_idx, eps, mode=mode, seed=seed, restarts=restarts
     )
     return partition_report(
         P.graph, w0_idx, cluster_idx, eps,
@@ -491,7 +470,6 @@ def classical_epsilon_regular(
     mode: str = "auto",
     seed: int = 0,
     restarts: int = 64,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
     """Classical bipartite epsilon-regularity.
 
@@ -508,7 +486,7 @@ def classical_epsilon_regular(
     return _density_verdict(
         f_mat, np.ones(a_size), np.ones(b_size), eps,
         ids_a=range(a_size), ids_b=range(b_size), form="classical",
-        mode=mode, seed=seed, restarts=restarts, cap=cap,
+        mode=mode, seed=seed, restarts=restarts,
     )
 
 
@@ -518,12 +496,10 @@ def relative_regularity(
     f_edges: Iterable[tuple[int, int]],
     g_edges: Iterable[tuple[int, int]],
     eps: float,
-    *,
-    cap: int = SUBSET_PAIR_CAP_DEFAULT,
 ) -> PairRegularityVerdict:
     """Relative form: compare e_F(A', B') / e_G(A', B') to the base ratio.
 
-    Exhaustive only.  Sub-pairs spanning no G-edge carry no relative
+    Exhaustive only, so |A| + |B| <= SUBSET_PAIR_CAP.  Sub-pairs spanning no G-edge carry no relative
     density and are skipped.  Size floors are |A'| >= eps |A| and
     |B'| >= eps |B|.
     """
@@ -544,5 +520,5 @@ def relative_regularity(
     return pair_verdict(
         [f_mat, g_mat], np.ones(a_size), np.ones(b_size), deviation,
         eps=eps, base=base, ids_a=range(a_size), ids_b=range(b_size),
-        form="relative", mode="exhaustive", cap=cap,
+        form="relative", mode="exhaustive",
     )

@@ -21,6 +21,7 @@ from regulab import (
     check_pair,
     check_partition,
     check_quasirandom,
+    split_atoms,
 )
 
 from _helpers import complete_graph, random_graph, random_subpair
@@ -99,3 +100,18 @@ def test_decimal_scale_keeps_empty_sides_out():
     assert np.isfinite(v.worst_deviation) and all(v.worst_pair)
     p = check_pair(SubgraphPair.full(G), range(5), range(5, 10), 0.3)
     assert p.passed and p.n_qualifying == 676
+
+
+def test_split_atoms_is_scale_free():
+    # 8 unit masses in one atom at eps = 0.5, L = 1 give w* = 2: four
+    # clusters of 2.  An absolute 1e-9 slack sent every vertex to W0 once
+    # w* fell below it.
+    K = complete_graph(8)
+    base = split_atoms(K, [range(8)], 0.5, 1)
+    assert base.clusters == ((0, 1), (2, 3), (4, 5), (6, 7)) and base.w0 == ()
+    for k in EXPONENTS:
+        s = split_atoms(scaled(K, k), [range(8)], 0.5, 1)
+        assert (s.clusters, s.w0, s.oversized) == (base.clusters, (), ()), k
+        assert s.w_star == base.w_star * 2.0**k
+    G = WeightedGraph(n=8, mu=K.mu * 1e-10, rho=K.rho * 1e-20)
+    assert split_atoms(G, [range(8)], 0.5, 1).clusters == base.clusters

@@ -373,16 +373,16 @@ def test_batched_cluster_verdicts_equal_the_per_pair_engine(k, mode):
         assert v == want, (i, j)
 
 
-@pytest.mark.parametrize("sizes, first", [((2, 1, 1), "2\\+1"), ((1, 1, 2), "1\\+1")])
+@pytest.mark.parametrize("sizes, first", [((1, 14, 13), "14\\+13"), ((13, 14, 14), "13\\+14")])
 def test_cluster_pair_cap_error_names_the_first_pair(sizes, first):
-    P = SubgraphPair.full(complete_graph(4))
+    # the first pair past SUBSET_PAIR_CAP = 26 in row order is named
+    n = sum(sizes)
+    P = SubgraphPair.full(complete_graph(n))
     cuts = np.cumsum([0, *sizes])
     clusters = [range(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    _, cluster_idx = partition_indices(4, None, clusters)
+    _, cluster_idx = partition_indices(n, None, clusters)
     with pytest.raises(InputError, match=f"got {first}\\)"):
-        cluster_pair_verdicts(
-            P, cluster_idx, 0.3, mode="exhaustive", seed=0, restarts=8, cap=1
-        )
+        cluster_pair_verdicts(P, cluster_idx, 0.3, mode="exhaustive", seed=0, restarts=8)
 
 
 def test_search_needs_at_least_one_restart():
